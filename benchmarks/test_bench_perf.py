@@ -1,23 +1,28 @@
 """Perf layer bench: cold vs. cached vs. parallel vs. batch sweeps.
 
 Times the full Table 2 sweep (5 benchmarks x 4 machine cases, n=100)
-seven ways and checks the acceptance properties of the performance layer:
+seven ways, then a generated corpus of large loops three ways, and checks
+the acceptance properties of the performance layer:
 
 * every variant produces byte-identical ``t_list``/``t_new`` results;
 * the warm cached + fast-path sweep is >= 3x faster than the cold serial
   exact-simulation sweep;
 * the warm **batch engine** sweep (compile/schedule once, one flat
   closed-form pass for the whole grid) is >= 100x faster than cold;
-* a :class:`~repro.perf.parallel.PersistentPool`'s second sweep hits the
-  workers' warm caches (``schedule_hits > 0`` proves cross-sweep reuse);
+* on the generated corpus (24 loops of 16-28 statements x 4 machines,
+  16 jobs) the cold serial sweep, a 2-worker
+  :class:`~repro.perf.parallel.ParallelEvaluator` and the cold batch
+  engine agree on every ``(t_list, t_new)`` — the timings are the
+  measurement that keeps the process pool;
 * the auto-mode parallel evaluator either pools or explains why not —
   its threshold now comes from a per-run calibration probe, so the
   serial/pool choice is machine-dependent, but the *calibration record*
   always says which source decided.
 
-Writes ``benchmarks/results/perf_layer.txt`` and ``BENCH_perf.json`` (repo
-root).  Timing-sensitive, so it is marked ``perf`` and skipped unless
-pytest runs with ``--perf`` (``make bench-perf``).
+Writes ``benchmarks/results/perf_layer.txt`` and updates its own blocks
+of ``BENCH_perf.json`` (repo root), keeping the ``service`` block that
+``repro loadtest`` writes.  Timing-sensitive, so it is marked ``perf``
+and skipped unless pytest runs with ``--perf`` (``make bench-perf``).
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import random
+import statistics
 import time
 
 import pytest
@@ -34,11 +41,10 @@ from repro import (
     CompileCache,
     EvalOptions,
     ParallelEvaluator,
-    PersistentPool,
     evaluate_corpus,
     paper_machine,
 )
-from repro.workloads import perfect_suite
+from repro.workloads import GeneratorConfig, PlantedDep, generate_loop, perfect_suite
 
 from conftest import BENCHMARKS, PAPER_CASES, RESULTS_DIR, emit
 
@@ -46,6 +52,14 @@ pytestmark = pytest.mark.perf
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 N = 100
+
+#: Generated corpus: loops, jobs per machine, and alternating timing rounds.
+GENERATED_LOOPS = 24
+GENERATED_GROUPS = 4
+GENERATED_ROUNDS = 3
+
+#: Blocks of BENCH_perf.json that other writers own (``repro loadtest``).
+FOREIGN_BLOCKS = ("schema_version", "service")
 
 
 def _sweep_serial(jobs, *, cache=None, exact_simulation=False):
@@ -58,6 +72,45 @@ def _sweep_serial(jobs, *, cache=None, exact_simulation=False):
 
 def _times(results):
     return [(ev.name, ev.machine.name, ev.t_list, ev.t_new) for ev in results]
+
+
+def _generated_jobs():
+    """Seeded large loops (16-28 statements, 4-9 planted dependences),
+    split into ``GENERATED_GROUPS`` corpora, each on every paper machine."""
+    rng = random.Random(0)
+    loops = []
+    for i in range(GENERATED_LOOPS):
+        statements = 16 + (i * 13) // GENERATED_LOOPS
+        deps = []
+        for j in range(4 + i % 6):
+            # even-numbered dependences lexically backward, every other
+            # backward one chained into a synchronization path
+            source, sink = sorted(rng.sample(range(statements), 2), reverse=j % 2 == 0)
+            chained = j % 2 == 0 and (j // 2) % 2 == 0
+            deps.append(PlantedDep(source, sink, 1 + (i + j) % 4, chained))
+        config = GeneratorConfig(
+            statements=statements, deps=tuple(deps), seed=rng.randrange(2**31),
+            temp_scalars=i % 3, reductions=(i // 3) % 2, inductions=(i // 2) % 2,
+            name=f"gen{i}",
+        )
+        loops.append(generate_loop(config))
+    size = GENERATED_LOOPS // GENERATED_GROUPS
+    return [
+        (f"gen{g}", loops[g * size : (g + 1) * size], paper_machine(*case))
+        for g in range(GENERATED_GROUPS)
+        for case in PAPER_CASES
+    ]
+
+
+def _write_bench_file(blocks: dict) -> None:
+    """Replace this bench's blocks of BENCH_perf.json, keeping the
+    :data:`FOREIGN_BLOCKS` other writers own."""
+    path = REPO_ROOT / "BENCH_perf.json"
+    kept = {}
+    if path.exists():
+        existing = json.loads(path.read_text())
+        kept = {key: existing[key] for key in FOREIGN_BLOCKS if key in existing}
+    path.write_text(json.dumps({**kept, **blocks}, indent=2) + "\n")
 
 
 def test_perf_layer_speedups():
@@ -114,21 +167,28 @@ def test_perf_layer_speedups():
     batch_warm = engine.evaluate_corpora(jobs, n=N)
     batch_warm_s = time.perf_counter() - start
 
-    # Persistent pool: the second sweep reuses the first sweep's live
-    # workers — and, via lane affinity, their warm caches.
-    with PersistentPool(max_workers=workers) as pool:
-        pooled = ParallelEvaluator(min_pool_work=0, pool=pool)
+    # Generated corpus of large loops: cold serial vs a 2-worker pool vs
+    # the cold batch engine, in alternating rounds (median reported).
+    gen_jobs = _generated_jobs()
+    gen_runs = {"serial": [], "pool": [], "batch": []}
+    gen_pool = ParallelEvaluator(max_workers=2)
+    for _ in range(GENERATED_ROUNDS):
         start = time.perf_counter()
-        pool_first = pooled.evaluate_corpora(jobs, n=N)
-        pool_first_s = time.perf_counter() - start
-        pool_first_hits = pooled.worker_cache_stats.schedule_hits
+        gen_serial = [
+            evaluate_corpus(name, loops, machine, N, EvalOptions())
+            for name, loops, machine in gen_jobs
+        ]
+        gen_runs["serial"].append(time.perf_counter() - start)
         start = time.perf_counter()
-        pool_second = pooled.evaluate_corpora(jobs, n=N)
-        pool_second_s = time.perf_counter() - start
-        pool_second_hits = pooled.worker_cache_stats.schedule_hits
-        pool_second_compile_hits = pooled.worker_cache_stats.compile_hits
-        pool_used = pooled.used_pool
-        pool_generation = pool.generation
+        gen_pooled = gen_pool.evaluate_corpora(gen_jobs, n=N)
+        gen_runs["pool"].append(time.perf_counter() - start)
+        start = time.perf_counter()
+        gen_batch = BatchEvaluator().evaluate_corpora(gen_jobs, n=N)
+        gen_runs["batch"].append(time.perf_counter() - start)
+        assert _times(gen_pooled) == _times(gen_serial)
+        assert _times(gen_batch) == _times(gen_serial)
+    gen_s = {path: statistics.median(runs) for path, runs in gen_runs.items()}
+    gen_work = sum(len(loops) for _name, loops, _machine in gen_jobs)
 
     # Byte-identical results across every variant.
     reference = _times(cold)
@@ -138,19 +198,11 @@ def test_perf_layer_speedups():
     assert _times(parallel_forced) == reference
     assert _times(batch_cold) == reference
     assert _times(batch_warm) == reference
-    assert _times(pool_first) == reference
-    assert _times(pool_second) == reference
 
     assert auto.calibration is not None
     assert auto.calibration["source"] in ("probe", "default")
     if not auto.used_pool:
         assert auto.fallback_reason is not None
-
-    if pool_used:
-        assert pool_generation == 1, "second sweep must reuse the lanes"
-        assert pool_second_hits > 0, (
-            "persistent pool's second sweep saw no warm schedule hits"
-        )
 
     stats = cache.stats
     assert stats.compile_hits > 0 and stats.schedule_hits > 0
@@ -161,7 +213,6 @@ def test_perf_layer_speedups():
     forced_speedup = cold_s / forced_s if forced_s else float("inf")
     batch_cold_speedup = cold_s / batch_cold_s if batch_cold_s else float("inf")
     batch_warm_speedup = cold_s / batch_warm_s if batch_warm_s else float("inf")
-    pool_second_speedup = cold_s / pool_second_s if pool_second_s else float("inf")
 
     work = sum(len(loops) for _name, loops, _machine in jobs)
     auto_mode = "pool" if auto.used_pool else "serial"
@@ -178,13 +229,22 @@ def test_perf_layer_speedups():
         + (f"  [{forced.fallback_reason}]" if forced.fallback_reason else ""),
         f"{'batch cold (whole grid)':<28} {batch_cold_s:>9.4f} {batch_cold_speedup:>8.2f}x",
         f"{'batch warm (memo)':<28} {batch_warm_s:>9.4f} {batch_warm_speedup:>8.2f}x",
-        f"{'persistent pool, sweep 2':<28} {pool_second_s:>9.4f} {pool_second_speedup:>8.2f}x"
-        f"  [{pool_second_hits} cross-sweep schedule hits]",
         f"cache: {stats.format()}",
         f"batch engine: {engine.stats.format()}",
         f"calibration: {auto.calibration}",
         f"sweep work: {work} loop evaluations",
         "results byte-identical across variants: True",
+        "",
+        f"Generated corpus ({GENERATED_LOOPS} loops of 16-28 statements x "
+        f"{len(PAPER_CASES)} cases = {gen_work} evaluations in {len(gen_jobs)} jobs, "
+        f"n={N}; median of {GENERATED_ROUNDS} alternating rounds)",
+        f"{'variant':<28} {'seconds':>9} {'speedup':>9}",
+        f"{'serial cold':<28} {gen_s['serial']:>9.4f} {1.0:>8.2f}x",
+        f"{'parallel, 2 workers (' + ('pool' if gen_pool.used_pool else 'serial') + ')':<28}"
+        f" {gen_s['pool']:>9.4f} {gen_s['serial'] / gen_s['pool']:>8.2f}x"
+        + (f"  [{gen_pool.fallback_reason}]" if gen_pool.fallback_reason else ""),
+        f"{'batch cold':<28} {gen_s['batch']:>9.4f} {gen_s['serial'] / gen_s['batch']:>8.2f}x",
+        f"host: {os.cpu_count()} CPU(s); (t_list, t_new) identical across variants: True",
     ]
     emit("perf_layer", "\n".join(lines))
 
@@ -198,8 +258,6 @@ def test_perf_layer_speedups():
             "parallel_forced_pool": round(forced_s, 6),
             "batch_cold": round(batch_cold_s, 6),
             "batch_warm": round(batch_warm_s, 6),
-            "persistent_pool_first_sweep": round(pool_first_s, 6),
-            "persistent_pool_second_sweep": round(pool_second_s, 6),
         },
         "speedups_vs_cold": {
             "cached_first": round(first_speedup, 3),
@@ -208,7 +266,6 @@ def test_perf_layer_speedups():
             "parallel_forced_pool": round(forced_speedup, 3),
             "batch_cold": round(batch_cold_speedup, 3),
             "batch_warm": round(batch_warm_speedup, 3),
-            "persistent_pool_second_sweep": round(pool_second_speedup, 3),
         },
         "parallel": {
             "workers": workers,
@@ -218,12 +275,15 @@ def test_perf_layer_speedups():
             "auto_fallback_reason": auto.fallback_reason,
             "forced_pool_used": forced.used_pool,
         },
-        "persistent_pool": {
-            "used_pool": pool_used,
-            "generation_after_two_sweeps": pool_generation,
-            "second_sweep_schedule_hits": pool_second_hits,
-            "second_sweep_compile_hits": pool_second_compile_hits,
-            "first_sweep_schedule_hits": pool_first_hits,
+        "generated_corpus": {
+            "loops": GENERATED_LOOPS,
+            "jobs": len(gen_jobs),
+            "loop_evals": gen_work,
+            "rounds": GENERATED_ROUNDS,
+            "median_s": {path: round(secs, 6) for path, secs in gen_s.items()},
+            "pool_used": gen_pool.used_pool,
+            "pool_fallback_reason": gen_pool.fallback_reason,
+            "cpu_count": os.cpu_count(),
         },
         "batch": {
             "cells": engine.stats.cells,
@@ -241,7 +301,7 @@ def test_perf_layer_speedups():
         },
         "identical_results": True,
     }
-    (REPO_ROOT / "BENCH_perf.json").write_text(json.dumps(payload, indent=2) + "\n")
+    _write_bench_file(payload)
 
     assert warm_speedup >= 3.0, (
         f"cached+fast-path sweep only {warm_speedup:.2f}x faster than cold "

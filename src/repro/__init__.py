@@ -26,17 +26,18 @@ analysis), :mod:`repro.transforms` (restructuring), :mod:`repro.sync`
 :mod:`repro.dfg` (data-flow graph + Sigwat partition), :mod:`repro.sched`
 (schedulers), :mod:`repro.sim` (simulators), :mod:`repro.workloads`
 (benchmark corpora), :mod:`repro.perf` (sweep-scale caching, process
-parallelism and profiling), :mod:`repro.obs` (trace spans, metrics,
-decision provenance, the bench-regression tracker and exporters),
+parallelism and the batch engine), :mod:`repro.obs` (trace spans,
+metrics, profiling, decision provenance, the bench-regression tracker
+and exporters),
 :mod:`repro.robust` (fault injection, deadlock diagnosis, hardened
 sweep evaluation and the differential fuzz harness),
 :mod:`repro.service` (the typed op registry behind the CLI and the
 long-lived HTTP compilation service — ``repro serve``).
 
 Pipeline entry points take their knobs as one frozen
-:class:`~repro.options.EvalOptions` value (the stable API; the old
-per-function keyword arguments still work but emit
-``DeprecationWarning`` — see ``docs/api.md``)::
+:class:`~repro.options.EvalOptions` value (the stable API; 2.0.0
+removed the old per-function keyword arguments — ``docs/api.md`` maps
+each onto its field)::
 
     from repro import EvalOptions, evaluate_loop
     result = evaluate_loop(compiled, machine,
@@ -55,13 +56,7 @@ from repro.pipeline import (
     evaluate_loop,
     evaluate_program,
 )
-from repro.perf import (
-    BatchEvaluator,
-    CompileCache,
-    ParallelEvaluator,
-    PersistentPool,
-    StageProfiler,
-)
+from repro.perf import BatchEvaluator, CompileCache, ParallelEvaluator
 from repro.robust import (
     BlockedWait,
     DeadlockError,
@@ -87,7 +82,7 @@ from repro.service import (
     sweep_op,
 )
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "BlockedWait",
@@ -106,13 +101,11 @@ __all__ = [
     "OpResult",
     "OpSpec",
     "ParallelEvaluator",
-    "PersistentPool",
     "ProgramEvaluation",
     "RecordingTracer",
     "ReproService",
     "RobustPolicy",
     "SCHEMA_VERSION",
-    "StageProfiler",
     "Tracer",
     "__version__",
     "compile_loop",

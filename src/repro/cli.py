@@ -11,26 +11,24 @@ same registry, so the two surfaces cannot drift on supported
 operations.  Subcommand output is byte-identical to the pre-split
 driver — enforced by ``tests/integration/test_cli_parity.py``.
 
-Global flags work with every command: ``--profile`` times the pipeline
-stages and prints a table to stderr; ``--trace-out FILE`` records
-hierarchical spans and writes a Chrome trace-event file (load it at
-``chrome://tracing`` or https://ui.perfetto.dev); ``--journal-out FILE``
-writes the same spans plus a metrics snapshot as JSON lines.  See
+Global flags work with every command and share one recording tracer:
+``--profile`` prints the recorded spans as a per-stage table on stderr;
+``--trace-out FILE`` writes them as a Chrome trace-event file (load it
+at ``chrome://tracing`` or https://ui.perfetto.dev); ``--journal-out
+FILE`` writes them plus a metrics snapshot as JSON lines.  See
 ``docs/observability.md`` and ``docs/service.md``.
 
 The pre-split helpers (``cmd_compile`` … ``cmd_dash``, ``SCHEDULERS``,
-``_read_source``, ``_sweep_results``, …) are importable here as
-deprecation shims; new code should import from
-:mod:`repro.service.ops`.
+``_read_source``, ``_sweep_results``, …) were removed in 2.0.0; import
+the ops from :mod:`repro.service.ops` instead (``docs/api.md`` has the
+migration table).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 
-from repro.service import ops as _ops
 from repro.service.ops import OP_REGISTRY, OpResult, op_epilog
 
 
@@ -46,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="time the pipeline stages and print a report to stderr",
+        help="time the pipeline stages (recorded spans) and print a table to stderr",
     )
     parser.add_argument(
         "--trace-out",
@@ -93,15 +91,10 @@ def _emit(result: OpResult) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     raw_argv = list(argv) if argv is not None else sys.argv[1:]
-    profiler = None
-    if args.profile:
-        from repro.perf import enable_profiling
-
-        profiler = enable_profiling()
     recorder = None
     journal_registry = None
     progress_sink = None
-    if args.trace_out or args.journal_out:
+    if args.profile or args.trace_out or args.journal_out:
         from repro.obs import RecordingTracer, add_tracer
 
         recorder = RecordingTracer()
@@ -183,86 +176,13 @@ def main(argv: list[str] | None = None) -> int:
             outcome = "ok" if exit_code in (0, None) else f"exit {exit_code}"
             run_recorder.finish(outcome)
             _set_recorder(None)
-        if profiler is not None:
-            from repro.perf import disable_profiling
+        if args.profile:
+            from repro.obs import stage_table
 
-            disable_profiling()
-            print(f"\n== pipeline stage profile ==\n{profiler.format()}", file=sys.stderr)
-
-
-# -- deprecation shims for the pre-split module surface ------------------------
-
-
-def _shim(result_fn):
-    """Wrap an OpResult-returning callable as a legacy ``(args) -> int``."""
-
-    def legacy(args: argparse.Namespace) -> int:
-        result = result_fn(args)
-        _emit(result)
-        return result.exit_code
-
-    return legacy
-
-
-def _legacy_sweep_results(*args, **kwargs):
-    results, cases, notes = _ops.sweep_results(*args, **kwargs)
-    for note in notes:
-        print(note, file=sys.stderr)
-    return results, cases
-
-
-#: moved name -> factory returning its replacement (evaluated lazily so
-#: the shim table itself costs nothing at import time).
-_LEGACY_SHIMS = {
-    "SCHEDULERS": lambda: _ops.SCHEDULERS,
-    "_read_source": lambda: _ops.read_source,
-    "_machine": lambda: (lambda a: _ops.paper_machine(a.issue, a.fu)),
-    "_sweep_results": lambda: _legacy_sweep_results,
-    "cmd_compile": lambda: _shim(OP_REGISTRY["compile"].run),
-    "cmd_schedule": lambda: _shim(OP_REGISTRY["schedule"].run),
-    "cmd_modulo": lambda: _shim(OP_REGISTRY["modulo"].run),
-    "cmd_simulate": lambda: _shim(OP_REGISTRY["simulate"].run),
-    "cmd_fuzz": lambda: _shim(OP_REGISTRY["fuzz"].run),
-    "cmd_sweep": lambda: _shim(OP_REGISTRY["sweep"].run),
-    "cmd_metrics": lambda: _shim(OP_REGISTRY["metrics"].run),
-    "cmd_explain": lambda: _shim(OP_REGISTRY["explain"].run),
-    "cmd_dot": lambda: _shim(OP_REGISTRY["dot"].run),
-    "cmd_dash": lambda: _shim(OP_REGISTRY["dash"].run),
-    "cmd_bench_record": lambda: _shim(
-        lambda a: _ops.bench_record_op(a.history, suite=a.suite, n=a.n)
-    ),
-    "cmd_bench_list": lambda: _shim(lambda a: _ops.bench_list_op(a.history)),
-    "cmd_bench_diff": lambda: _shim(
-        lambda a: _ops.bench_diff_op(a.history, a.run_a, a.run_b)
-    ),
-    "cmd_bench_check": lambda: _shim(
-        lambda a: _ops.bench_check_op(
-            a.history, suite=a.suite, baseline=a.baseline,
-            wall_tolerance=a.wall_tolerance,
-        )
-    ),
-    "cmd_runs_list": lambda: _shim(lambda a: _ops.runs_list_op(a.ledger)),
-    "cmd_runs_show": lambda: _shim(
-        lambda a: _ops.runs_show_op(a.ledger, a.run_id)
-    ),
-    "cmd_runs_diff": lambda: _shim(
-        lambda a: _ops.runs_diff_op(
-            a.ledger, a.run_a, a.run_b, all_metrics=a.all_metrics
-        )
-    ),
-}
-
-
-def __getattr__(name: str):
-    if name in _LEGACY_SHIMS:
-        warnings.warn(
-            f"repro.cli.{name} moved to repro.service.ops in the service "
-            "split (schema v7); import from repro.service.ops instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _LEGACY_SHIMS[name]()
-    raise AttributeError(f"module 'repro.cli' has no attribute {name!r}")
+            print(
+                f"\n== pipeline stage profile ==\n{stage_table(recorder.events)}",
+                file=sys.stderr,
+            )
 
 
 if __name__ == "__main__":  # pragma: no cover

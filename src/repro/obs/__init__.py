@@ -7,8 +7,7 @@ disabled (one module-global read):
   ...) emitted by :mod:`repro.pipeline`, both schedulers, the simulator
   and the :mod:`repro.perf` layer.  Any number of :class:`Tracer`\\ s can
   subscribe; :class:`RecordingTracer` collects :class:`TraceEvent`\\ s for
-  the exporters, and :class:`repro.perf.StageProfiler` (PR 1's profiler)
-  is now just another pluggable tracer.
+  the exporters — including the ``repro --profile`` stage table.
 * :func:`count` / :func:`observe` — counters and histograms on the
   active :class:`MetricsRegistry`: wait-stall cycles per sync pair,
   Wait→Send spans ``i − j``, run-time LBD vs LFD pair counts, ready-list
@@ -24,7 +23,8 @@ disabled cost stays two module-global reads.
 
 Exporters (:mod:`repro.obs.export`): Chrome ``chrome://tracing`` trace
 files (``repro --trace-out FILE``), a JSON-lines event journal
-(``repro --journal-out FILE``) and the metrics snapshot embedded in
+(``repro --journal-out FILE``), the per-stage table of
+``repro --profile`` and the metrics snapshot embedded in
 :mod:`repro.report` records and printed by ``repro metrics``.  See
 ``docs/observability.md`` for the guided tour.
 
@@ -74,6 +74,7 @@ from repro.obs.export import (
     journal_lines,
     metrics_snapshot,
     prometheus_text,
+    stage_table,
     write_chrome_trace,
     write_journal,
 )
@@ -235,6 +236,7 @@ __all__ = [
     "remove_tracer",
     "set_gauge",
     "span",
+    "stage_table",
     "start_sampler",
     "stop_sampler",
     "tracer_scope",

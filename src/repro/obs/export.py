@@ -18,6 +18,8 @@ Three output formats (see ``docs/observability.md``):
 * :func:`prometheus_text` — the Prometheus text exposition (format
   0.0.4) of a registry, served by ``GET /v1/metrics?format=prom``
   (:mod:`repro.service.server`).
+* :func:`stage_table` — the per-stage ``calls / seconds / share`` table
+  ``repro --profile`` prints to stderr: recorded spans summed by name.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ __all__ = [
     "journal_lines",
     "metrics_snapshot",
     "prometheus_text",
+    "stage_table",
+    "stage_totals",
     "write_chrome_trace",
     "write_journal",
 ]
@@ -158,3 +162,39 @@ def write_journal(
     with open(path, "w", encoding="utf-8") as handle:
         for line in journal_lines(events, registry, progress):
             handle.write(line + "\n")
+
+
+def stage_totals(events: Iterable[TraceEvent]) -> dict[str, dict[str, float]]:
+    """``{stage: {"seconds", "calls"}}``: span durations and counts summed
+    by span name, in the order each name first finished."""
+    totals: dict[str, dict[str, float]] = {}
+    for event in events:
+        entry = totals.setdefault(event.name, {"seconds": 0.0, "calls": 0})
+        entry["seconds"] += event.duration_ns / 1e9
+        entry["calls"] += 1
+    return totals
+
+
+def stage_table(events: Iterable[TraceEvent]) -> str:
+    """Aligned per-stage table, slowest stage first::
+
+        stage         calls   seconds  share
+        schedule        160     0.166  55.3%
+
+    Nested spans each count in full, so ``share`` is of the summed
+    stage time, not of the wall clock.
+    """
+    totals = stage_totals(events)
+    if not totals:
+        return "no stages recorded"
+    total = sum(entry["seconds"] for entry in totals.values())
+    rows = sorted(totals.items(), key=lambda kv: -kv[1]["seconds"])
+    width = max(len("stage"), *(len(name) for name in totals))
+    lines = [f"{'stage':<{width}}  {'calls':>7}  {'seconds':>9}  {'share':>6}"]
+    for name, entry in rows:
+        lines.append(
+            f"{name:<{width}}  {entry['calls']:>7}  {entry['seconds']:>9.4f}"
+            f"  {100.0 * entry['seconds'] / (total or 1.0):>5.1f}%"
+        )
+    lines.append(f"{'total':<{width}}  {'':>7}  {total:>9.4f}")
+    return "\n".join(lines)

@@ -54,7 +54,7 @@ from repro.obs.metrics import (
     enable_metrics,
 )
 from repro.obs.regress import git_sha, machine_fingerprint
-from repro.schema import dump_line, parse_line, stamped
+from repro.schema import dump_line, read_records, stamped
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.options import EvalOptions
@@ -241,28 +241,11 @@ class RunLedger:
         ``repro serve --recover`` and ``repro runs list`` can say the
         log lost its last write instead of silently shrugging.
         """
-        self.torn_tail = 0
-        if not os.path.exists(self.path):
-            return []
-        records: list[RunRecord] = []
-        last_was_torn = False
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = parse_line(line)
-                except ValueError:
-                    last_was_torn = True
-                    continue
-                last_was_torn = False
-                if data.get("kind") == "run":
-                    records.append(RunRecord.from_dict(data))
-        if last_was_torn:
-            self.torn_tail = 1
+        data, torn = read_records(self.path, "run")
+        self.torn_tail = int(torn)
+        if torn:
             count("robust.ledger.torn_tail")
-        return records
+        return [RunRecord.from_dict(record) for record in data]
 
     def get(self, run_id: str) -> RunRecord:
         """Look a run up by id (unambiguous prefixes accepted)."""

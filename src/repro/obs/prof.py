@@ -1,6 +1,6 @@
 """Continuous sampling CPU profiler: collapsed stacks, flame graphs, diffs.
 
-:class:`StageProfiler` (PR 1) buckets coarse per-stage wall clock and the
+The ``repro --profile`` stage table buckets coarse per-stage wall clock and the
 ``service.*`` telemetry stops at request latency — neither can say *which
 function* regressed when ``repro bench check`` trips its wall-clock gate.
 This module closes that gap with a zero-dependency sampling profiler:
@@ -49,7 +49,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any
 
-from repro.schema import parse_line, stamped
+from repro.schema import read_records, stamped
 from repro.obs.trace import Tracer, add_tracer, remove_tracer
 
 __all__ = [
@@ -534,6 +534,8 @@ class ProfileStore:
 
     def __init__(self, path: str = DEFAULT_PROFILES) -> None:
         self.path = path
+        #: 1 when the most recent :meth:`load` found a torn final line.
+        self.torn_tail = 0
 
     def append(self, profile: Profile) -> None:
         directory = os.path.dirname(self.path)
@@ -543,19 +545,11 @@ class ProfileStore:
             fh.write(json.dumps(profile.as_dict(), sort_keys=True) + "\n")
 
     def load(self) -> list[Profile]:
-        if not os.path.exists(self.path):
-            return []
-        profiles = []
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = parse_line(line)
-                if record.get("kind") != "profile":
-                    continue
-                profiles.append(Profile.from_dict(record))
-        return profiles
+        """Every ``profile`` record, oldest first (unreadable lines
+        skipped, a torn final line flagged on :attr:`torn_tail`)."""
+        data, torn = read_records(self.path, "profile")
+        self.torn_tail = int(torn)
+        return [Profile.from_dict(record) for record in data]
 
     def get(self, profile_id: str) -> Profile:
         """Look up by id prefix (unique match required)."""

@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.schema import SCHEMA_VERSION
+from repro.schema import SCHEMA_VERSION, read_records
 
 __all__ = [
     "BenchPoint",
@@ -330,6 +330,8 @@ class BenchHistory:
 
     def __init__(self, path: str = DEFAULT_HISTORY) -> None:
         self.path = path
+        #: 1 when the most recent :meth:`load` found a torn final line.
+        self.torn_tail = 0
 
     def append(self, run: BenchRun) -> None:
         directory = os.path.dirname(self.path)
@@ -339,18 +341,11 @@ class BenchHistory:
             handle.write(json.dumps(run.as_dict(), sort_keys=True) + "\n")
 
     def load(self) -> list[BenchRun]:
-        if not os.path.exists(self.path):
-            return []
-        runs: list[BenchRun] = []
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                data = json.loads(line)
-                if data.get("kind") == "bench_run":
-                    runs.append(BenchRun.from_dict(data))
-        return runs
+        """Every ``bench_run`` record, oldest first (unreadable lines
+        skipped, a torn final line flagged on :attr:`torn_tail`)."""
+        data, torn = read_records(self.path, "bench_run")
+        self.torn_tail = int(torn)
+        return [BenchRun.from_dict(record) for record in data]
 
     def get(self, run_id: str) -> BenchRun:
         """Look a run up by id (unambiguous prefixes accepted)."""

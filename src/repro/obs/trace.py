@@ -2,8 +2,8 @@
 
 The pipeline marks its stages with the :func:`span` context manager
 (``with span("schedule"): ...``).  When no tracer is installed the marker
-costs one module-global read — the same discipline as PR 1's
-``profiled()`` — so instrumented code is free in production.  When one or
+costs one module-global read, so instrumented code is free in
+production.  When one or
 more :class:`Tracer` instances are installed (via :func:`enable_tracing`
 or :func:`add_tracer`), every span is reported to each of them.
 
@@ -12,10 +12,10 @@ Two tracer families ship with the package:
 * :class:`RecordingTracer` (here) — records every span as a
   :class:`TraceEvent` with nanosecond timestamps, nesting depth and
   process id; the events feed the exporters in :mod:`repro.obs.export`
-  (Chrome ``chrome://tracing`` format, JSON-lines journal).
-* :class:`repro.perf.StageProfiler` — PR 1's per-stage wall-clock
-  accumulator, now just one pluggable ``Tracer`` among others
-  (``repro --profile`` keeps working unchanged).
+  (Chrome ``chrome://tracing`` format, JSON-lines journal, and the
+  per-stage table ``repro --profile`` prints).
+* :class:`repro.obs.prof.Profiler` — the sampling profiler, which uses
+  the span seam only to attribute its stack samples to stages.
 
 A ``Tracer`` is anything with ``start(name, attrs) -> token`` and
 ``finish(name, token, attrs)``; exceptions inside a span still finish it.

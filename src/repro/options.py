@@ -8,13 +8,13 @@ one immutable value object that travels through ``compile_loop`` →
 ``evaluate_loop`` → ``evaluate_corpus`` / ``evaluate_program`` →
 :class:`~repro.perf.parallel.ParallelEvaluator` unchanged.
 
-The old keyword arguments keep working but emit ``DeprecationWarning``
-and are mapped onto an ``EvalOptions`` internally (see
-``docs/api.md`` for the deprecation policy)::
+Version 2.0.0 removed the old keyword arguments (and the bool-positional
+``compile_loop(loop, True)`` form); passing one is a ``TypeError``.
+``docs/api.md`` maps every old keyword onto its ``EvalOptions`` field::
 
-    # deprecated (still works):
+    # 1.x (removed):
     evaluate_corpus(name, loops, machine, apply_restructuring=False)
-    # stable:
+    # 2.0:
     evaluate_corpus(name, loops, machine,
                     options=EvalOptions(apply_restructuring=False))
 """
@@ -25,7 +25,6 @@ import dataclasses
 import enum
 import hashlib
 import json
-import warnings
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator
@@ -41,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.obs.trace import Tracer
     from repro.perf.cache import CompileCache
 
-__all__ = ["EvalOptions", "observation_scope"]
+__all__ = ["EvalOptions", "observation_scope", "resolve_options"]
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,6 @@ class EvalOptions:
     faults: FaultPlan | None = None
     max_cycles: int | None = None
     robust: RobustPolicy | None = None
-    min_pool_work: int | None = None
     tracer: "Tracer | None" = None
     metrics: "MetricsRegistry | None" = None
     journal: "DecisionJournal | None" = None
@@ -122,7 +120,6 @@ class EvalOptions:
         "jobs",
         "batch",
         "robust",
-        "min_pool_work",
         "tracer",
         "metrics",
         "journal",
@@ -142,8 +139,6 @@ class EvalOptions:
             raise ValueError("jobs must be >= 1")
         if self.max_cycles is not None and self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1 (or None for the default)")
-        if self.min_pool_work is not None and self.min_pool_work < 0:
-            raise ValueError("min_pool_work must be >= 0 (or None for the default)")
 
     def replace(self, **changes: Any) -> "EvalOptions":
         """A copy with ``changes`` applied (the dataclasses idiom)."""
@@ -182,45 +177,23 @@ class EvalOptions:
         ).hexdigest()
         return digest[:12]
 
-    # -- the deprecated-kwarg shim -------------------------------------------
 
-    @classmethod
-    def coerce(
-        cls,
-        options: "EvalOptions | None" = None,
-        _stacklevel: int = 3,
-        **legacy: Any,
-    ) -> "EvalOptions":
-        """Fold deprecated keyword arguments onto an ``EvalOptions``.
+def resolve_options(options: EvalOptions | None) -> EvalOptions:
+    """``options`` itself, or the defaults when it is ``None``.
 
-        ``legacy`` entries that are ``None`` mean "not passed".  Any
-        entry actually passed emits a single ``DeprecationWarning`` and
-        overrides the corresponding ``options`` field.
-        """
-        passed = {name: value for name, value in legacy.items() if value is not None}
-        field_names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(passed) - field_names
-        if unknown:
-            raise TypeError(
-                f"unknown evaluation option(s): {sorted(unknown)}; "
-                f"valid fields are {sorted(field_names)}"
-            )
-        base = options if options is not None else cls()
-        if not isinstance(base, cls):
-            raise TypeError(
-                f"options must be an EvalOptions, got {type(base).__name__}; "
-                "legacy positional arguments are no longer accepted here"
-            )
-        if passed:
-            warnings.warn(
-                f"keyword argument(s) {sorted(passed)} are deprecated; pass "
-                f"options=EvalOptions({', '.join(sorted(passed))}=...) instead "
-                "(see docs/api.md)",
-                DeprecationWarning,
-                stacklevel=_stacklevel,
-            )
-            base = dataclasses.replace(base, **passed)
-        return base
+    Anything else is a ``TypeError``, so a 1.x bool-positional call such
+    as ``compile_loop(loop, False)`` fails loudly instead of being read
+    as options.
+    """
+    if options is None:
+        return EvalOptions()
+    if not isinstance(options, EvalOptions):
+        raise TypeError(
+            f"options must be an EvalOptions or None, got {type(options).__name__} "
+            "(the 1.x keyword and positional forms were removed in 2.0.0; "
+            "see docs/api.md)"
+        )
+    return options
 
 
 @contextmanager

@@ -8,16 +8,12 @@ Three independent accelerators for the experiment harness:
 * :mod:`repro.perf.parallel` — :class:`ParallelEvaluator`: chunked
   ``ProcessPoolExecutor`` fan-out of corpus/program evaluations with
   deterministic, insertion-order result merging and a serial fallback;
-  :class:`PersistentPool` keeps the executor (and the workers' warm
-  caches) alive across sweeps, and :func:`calibrate_min_pool_work`
-  turns a measured per-eval cost into the pool's break-even threshold.
+  :func:`calibrate_min_pool_work` turns a measured per-eval cost into
+  the pool's break-even threshold.
 * :mod:`repro.perf.batch` — :class:`BatchEvaluator`: corpus-level
   vectorized evaluation — compile/schedule each unique loop once, answer
   every sweep cell in one flat closed-form pass
   (``EvalOptions(batch=True)`` / ``repro sweep --batch``).
-* :mod:`repro.perf.profile` — :class:`StageProfiler` and the
-  :func:`profiled` context manager: per-stage wall-clock instrumentation
-  behind ``repro --profile``.
 
 The remaining accelerator, the analytic fast path in
 :func:`repro.sim.multiproc.simulate_doacross`, lives with the simulator it
@@ -32,19 +28,7 @@ from repro.perf.batch import (
     shared_batch_evaluator,
 )
 from repro.perf.cache import CacheStats, CompileCache, compiled_fingerprint, loop_key
-from repro.perf.parallel import (
-    ParallelEvaluator,
-    PersistentPool,
-    calibrate_min_pool_work,
-    chunked,
-)
-from repro.perf.profile import (
-    StageProfiler,
-    active_profiler,
-    disable_profiling,
-    enable_profiling,
-    profiled,
-)
+from repro.perf.parallel import ParallelEvaluator, calibrate_min_pool_work, chunked
 
 __all__ = [
     "BatchEvaluator",
@@ -53,16 +37,10 @@ __all__ = [
     "CacheStats",
     "CompileCache",
     "ParallelEvaluator",
-    "PersistentPool",
-    "StageProfiler",
-    "active_profiler",
     "batch_incompatibility",
     "calibrate_min_pool_work",
     "chunked",
     "compiled_fingerprint",
-    "disable_profiling",
-    "enable_profiling",
     "loop_key",
-    "profiled",
     "shared_batch_evaluator",
 ]

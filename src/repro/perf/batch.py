@@ -53,7 +53,7 @@ from repro.obs.explain import active_journal
 from repro.obs.metrics import active_metrics, context_metrics
 from repro.obs.metrics import count as metric_count
 from repro.obs.trace import emit_progress, span
-from repro.options import EvalOptions, observation_scope
+from repro.options import EvalOptions, observation_scope, resolve_options
 from repro.perf.cache import CompileCache, loop_key
 from repro.robust.harden import FailureRecord
 from repro.sched.schedule import Schedule
@@ -293,7 +293,7 @@ class BatchEvaluator:
             _record_evaluation_metrics,
         )
 
-        options = EvalOptions.coerce(options)
+        options = resolve_options(options)
         reason = batch_incompatibility(options)
         if reason is not None:
             raise BatchIncompatible(f"batch engine declined: {reason}")

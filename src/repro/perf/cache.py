@@ -42,7 +42,7 @@ from repro.ir.printer import format_loop
 from repro.obs.metrics import count as metric_count
 from repro.sched import MachineConfig, Priority, Schedule, SyncSchedulerOptions
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle: pipeline uses perf.profile
+if TYPE_CHECKING:  # pragma: no cover - import cycle: the pipeline drives this cache
     from repro.pipeline import CompiledLoop
 
 __all__ = ["CacheStats", "CompileCache", "compiled_fingerprint", "loop_key"]

@@ -13,37 +13,30 @@ CompileCache`, so a sweep that revisits a loop on several machines
 compiles it once per worker rather than once per sweep point.
 
 Observability rides along (see :mod:`repro.obs`): when the parent has an
-active :class:`~repro.perf.profile.StageProfiler`, metrics registry, or
-recording tracer, every worker collects into fresh local instances and
-the parent folds them in after the fan-out.  Counter/histogram merging is
+active metrics registry, recording tracer (``--trace-out``,
+``--journal-out`` and ``--profile`` all install one) or sampling
+profiler, every worker collects into fresh local instances and the
+parent folds them in after the fan-out.  Counter/histogram merging is
 commutative, so **metrics aggregates are identical however the jobs were
 partitioned** — ``--jobs 1`` and ``--jobs 4`` agree to the counter.
 
 The evaluator degrades gracefully to in-process serial execution when
 ``max_workers=1``, when there is at most one job, when the sweep is too
-small to amortize pool start-up (see ``min_pool_work``), or when the
-platform cannot provide a process pool (sandboxes without
-``fork``/semaphores) — results are identical either way, and
-:attr:`ParallelEvaluator.fallback_reason` says why the pool was not
-used.  The chosen mode is recorded as the
+small to amortize pool start-up, or when the platform cannot provide a
+process pool (sandboxes without ``fork``/semaphores) — results are
+identical either way, and :attr:`ParallelEvaluator.fallback_reason`
+says why the pool was not used.  The chosen mode is recorded as the
 ``perf.parallel.mode.{pool,serial}`` metric.
 
-The ``min_pool_work`` threshold is **calibrated, not guessed**: in auto
-mode the evaluator times one real loop evaluation (collectors detached)
-and :func:`calibrate_min_pool_work` converts it into the pool's
-break-even sweep size; the chosen threshold and probe cost are exposed
-on :attr:`ParallelEvaluator.calibration` and recorded on the run
-ledger.  A :class:`PersistentPool` keeps the executor — and every
-worker's process-global cache — alive *across* sweeps, so a second
-sweep starts with warm workers instead of paying spawn + re-warm again;
-per-run worker cache-hit deltas surface on
-:attr:`ParallelEvaluator.worker_cache_stats`.
+The break-even sweep size is **calibrated, not guessed**: the evaluator
+times one real loop evaluation (collectors detached) and
+:func:`calibrate_min_pool_work` converts it into the pool's break-even
+sweep size; the chosen threshold and probe cost are exposed on
+:attr:`ParallelEvaluator.calibration` and recorded on the run ledger.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import os
 import time
 from contextlib import contextmanager
@@ -52,6 +45,12 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.obs.metrics import MetricsRegistry, active_metrics
 from repro.obs.metrics import count as metric_count
 from repro.obs.metrics import disable_metrics, enable_metrics
+from repro.obs.prof import (
+    Profile,
+    Profiler,
+    active_sampler,
+    reset_after_fork,
+)
 from repro.obs.trace import (
     RecordingTracer,
     TraceEvent,
@@ -64,21 +63,9 @@ from repro.obs.trace import (
     remove_progress_sink,
     remove_tracer,
 )
-from repro.options import EvalOptions, observation_scope
-from repro.perf.cache import CacheStats, CompileCache
+from repro.options import EvalOptions, observation_scope, resolve_options
+from repro.perf.cache import CompileCache
 from repro.robust.harden import FailureRecord, RobustPolicy, retry_delay
-from repro.obs.prof import (
-    Profile,
-    Profiler,
-    active_sampler,
-    reset_after_fork,
-)
-from repro.perf.profile import (
-    StageProfiler,
-    active_profiler,
-    disable_profiling,
-    enable_profiling,
-)
 from repro.sched import MachineConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -90,7 +77,6 @@ __all__ = [
     "DEFAULT_MIN_POOL_WORK",
     "DEFAULT_POOL_STARTUP_COST",
     "ParallelEvaluator",
-    "PersistentPool",
     "ProgramJob",
     "calibrate_min_pool_work",
     "chunked",
@@ -98,11 +84,10 @@ __all__ = [
 
 #: Minimum number of loop evaluations before a pool pays for itself —
 #: the *fallback* when the threshold can be neither probed nor was set
-#: explicitly.  In the normal corpus-sweep path the evaluator instead
-#: measures one evaluation and calibrates the threshold with
+#: on the constructor.  In the normal corpus-sweep path the evaluator
+#: instead measures one evaluation and calibrates the threshold with
 #: :func:`calibrate_min_pool_work` (the static 512 mis-filed measured
-#: 144-eval sweeps into serial even when the pool won).  Pass
-#: ``min_pool_work=0`` to force the pool regardless.
+#: 144-eval sweeps into serial even when the pool won).
 DEFAULT_MIN_POOL_WORK = 512
 
 #: Fixed cost the break-even model charges for spawning and warming a
@@ -141,13 +126,13 @@ CorpusJob = "tuple[str, list[Loop], MachineConfig]"
 # (program source or Program, machine) — one evaluate_program call.
 ProgramJob = "tuple[object, MachineConfig]"
 
-# (profile, metrics, trace, sample_hz): which collectors a worker should
-# run for the parent.  All-off in the serial path, where the parent's own
+# (metrics, trace, sample_hz): which collectors a worker should run for
+# the parent.  All-off in the serial path, where the parent's own
 # collectors see the events directly.  ``sample_hz`` > 0 arms a
 # worker-side sampling :class:`~repro.obs.prof.Profiler` whose folded
 # stacks merge into the parent's sampler (non-deterministic counts, like
 # ``robust.*`` — see docs/observability.md, "Continuous profiling").
-_COLLECT_NONE = (False, False, False, 0.0)
+_COLLECT_NONE = (False, False, 0.0)
 
 
 def chunked(items: Sequence, size: int) -> list[list]:
@@ -172,24 +157,6 @@ def _worker_cache() -> CompileCache:
     if _WORKER_CACHE is None:
         _WORKER_CACHE = CompileCache()
     return _WORKER_CACHE
-
-
-def _warm_worker_cache(path: str) -> None:
-    """Pool initializer: seed the worker's process-global cache from the
-    PR-4 disk-persistence envelope (corruption degrades to a cold cache,
-    never an error — see :meth:`CompileCache.load`)."""
-    global _WORKER_CACHE
-    _WORKER_CACHE = CompileCache.load(path)
-
-
-def _cache_delta(before: CacheStats, after: CacheStats) -> CacheStats:
-    """Hits/misses accrued between two snapshots of one worker's cache."""
-    return CacheStats(
-        compile_hits=after.compile_hits - before.compile_hits,
-        compile_misses=after.compile_misses - before.compile_misses,
-        schedule_hits=after.schedule_hits - before.schedule_hits,
-        schedule_misses=after.schedule_misses - before.schedule_misses,
-    )
 
 
 @contextmanager
@@ -218,10 +185,9 @@ def _quiet_observation():
             enable_metrics(registry)
 
 
-def _worker_collectors(collect: tuple[bool, bool, bool, float]):
+def _worker_collectors(collect: tuple[bool, bool, float]):
     """Enable fresh per-worker collectors per the parent's request."""
-    collect_profile, collect_metrics, collect_trace, sample_hz = collect
-    profiler = enable_profiling() if collect_profile else None
+    collect_metrics, collect_trace, sample_hz = collect
     registry = enable_metrics() if collect_metrics else None
     tracer = RecordingTracer() if collect_trace else None
     if tracer is not None:
@@ -234,13 +200,11 @@ def _worker_collectors(collect: tuple[bool, bool, bool, float]):
         sampler = Profiler(sample_hz)
         add_tracer(sampler)
         sampler.start_sampling()
-    return profiler, registry, tracer, sampler
+    return registry, tracer, sampler
 
 
-def _worker_teardown(collect, profiler, registry, tracer, sampler) -> Profile | None:
-    if collect[0]:
-        disable_profiling()
-    if collect[1]:
+def _worker_teardown(registry, tracer, sampler) -> Profile | None:
+    if registry is not None:
         disable_metrics()
     if tracer is not None:
         remove_tracer(tracer)
@@ -250,70 +214,28 @@ def _worker_teardown(collect, profiler, registry, tracer, sampler) -> Profile | 
     return sampler.stop_sampling()
 
 
-def _run_corpus_chunk(
+def _run_chunk(
+    evaluate: Callable,
     chunk: list,
     n: int | None,
     options: EvalOptions,
-    collect: tuple[bool, bool, bool, float] = _COLLECT_NONE,
-) -> tuple[
-    list,
-    StageProfiler | None,
-    MetricsRegistry | None,
-    list[TraceEvent] | None,
-    Profile | None,
-    tuple[int, CacheStats],
-]:
-    from repro.pipeline import evaluate_corpus
-
+    collect: tuple[bool, bool, float] = _COLLECT_NONE,
+) -> tuple[list, MetricsRegistry | None, list[TraceEvent] | None, Profile | None]:
+    """Run ``evaluate(*job, n, options)`` for every job of one chunk —
+    :func:`~repro.pipeline.evaluate_corpus` for ``(name, loops,
+    machine)`` jobs, :func:`~repro.pipeline.evaluate_program` for
+    ``(program, machine)`` jobs — against the process-global cache.
+    Returns the results plus whatever the ``collect`` request gathered."""
     if _worker_fault_hook is not None:
         _worker_fault_hook(chunk)
-    profiler, registry, tracer, sampler = _worker_collectors(collect)
-    cache = _worker_cache()
-    before = dataclasses.replace(cache.stats)
+    registry, tracer, sampler = _worker_collectors(collect)
     try:
-        worker_options = options.replace(cache=cache)
-        results = [
-            evaluate_corpus(name, loops, machine, n, worker_options)
-            for name, loops, machine in chunk
-        ]
+        worker_options = options.replace(cache=_worker_cache())
+        results = [evaluate(*job, n, worker_options) for job in chunk]
     finally:
-        samples = _worker_teardown(collect, profiler, registry, tracer, sampler)
-    cache_info = (os.getpid(), _cache_delta(before, cache.stats))
+        samples = _worker_teardown(registry, tracer, sampler)
     events = tracer.events if tracer else None
-    return results, profiler, registry, events, samples, cache_info
-
-
-def _run_program_chunk(
-    chunk: list,
-    n: int | None,
-    options: EvalOptions,
-    collect: tuple[bool, bool, bool, float] = _COLLECT_NONE,
-) -> tuple[
-    list,
-    StageProfiler | None,
-    MetricsRegistry | None,
-    list[TraceEvent] | None,
-    Profile | None,
-    tuple[int, CacheStats],
-]:
-    from repro.pipeline import evaluate_program
-
-    if _worker_fault_hook is not None:
-        _worker_fault_hook(chunk)
-    profiler, registry, tracer, sampler = _worker_collectors(collect)
-    cache = _worker_cache()
-    before = dataclasses.replace(cache.stats)
-    try:
-        worker_options = options.replace(cache=cache)
-        results = [
-            evaluate_program(program, machine, n, worker_options)
-            for program, machine in chunk
-        ]
-    finally:
-        samples = _worker_teardown(collect, profiler, registry, tracer, sampler)
-    cache_info = (os.getpid(), _cache_delta(before, cache.stats))
-    events = tracer.events if tracer else None
-    return results, profiler, registry, events, samples, cache_info
+    return results, registry, events, samples
 
 
 def _failed_corpus_job(job, index: int, error: BaseException):
@@ -338,120 +260,6 @@ def _failed_program_job(job, index: int, error: BaseException):
     return result
 
 
-def _chunk_affinity(chunk: Sequence) -> int:
-    """Stable affinity key for a chunk of jobs: a digest of each job's
-    name and machine.  Identical chunks hash identically across sweeps
-    (and processes), so a :class:`PersistentPool` can route a repeated
-    chunk back to the worker whose cache already holds it."""
-    parts = []
-    for job in chunk:
-        head, tail = job[0], job[-1]
-        name = head if isinstance(head, str) else getattr(head, "name", None) or str(head)
-        parts.append(f"{name}|{getattr(tail, 'name', tail)}")
-    digest = hashlib.sha256("||".join(parts).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-class PersistentPool:
-    """A worker pool that survives across sweeps, with cache affinity.
-
-    A fresh ``ProcessPoolExecutor`` per sweep pays the spawn cost every
-    run *and* throws away the workers' process-global
-    :class:`~repro.perf.cache.CompileCache` — the second sweep re-warms
-    from nothing.  A ``PersistentPool`` keeps the workers (and their warm
-    caches) alive between :class:`ParallelEvaluator` runs.
-
-    The pool is built as ``max_workers`` single-worker executor *lanes*
-    rather than one shared executor, and :meth:`submit` routes each chunk
-    to ``lane = content_hash(chunk) % lanes``.  A shared executor hands
-    chunks to whichever worker is idle, so a re-run can scatter every
-    chunk onto the one worker that has *not* cached it (observed: two
-    identical sweeps on two workers, zero cross-sweep hits).  Content
-    routing makes reuse deterministic: the same chunk always reaches the
-    same process, so a repeated sweep hits that worker's compile and
-    schedule memos.  The trade is static load balance — lanes cannot
-    steal work — which uniform chunk sizes keep small.
-
-    * **spawn** — lazily, on the first :meth:`submit` (or :meth:`lanes`)
-      call.  With ``warm_cache_file`` each worker seeds its cache from
-      the PR-4 disk-persistence envelope (a corrupt file degrades to a
-      cold cache, exactly as :meth:`CompileCache.load` documents).
-    * **reuse** — subsequent sweeps submit to the same lanes;
-      ``sweeps_served`` counts them and the workers' cache-hit deltas
-      surface per run on
-      :attr:`ParallelEvaluator.worker_cache_stats`.
-    * **retire** — :meth:`close` for an orderly shutdown (also the
-      context-manager exit); :meth:`invalidate` for a pool the
-      degradation ladder found hung or broken — the lanes are abandoned
-      without waiting and the next sweep spawns a fresh generation
-      (``generation`` counts spawns).
-    """
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        warm_cache_file: "str | os.PathLike | None" = None,
-    ):
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self.max_workers = max_workers if max_workers is not None else os.cpu_count() or 1
-        self.warm_cache_file = (
-            os.fspath(warm_cache_file) if warm_cache_file is not None else None
-        )
-        self._lanes: list | None = None
-        self.generation = 0  # lane-set spawns (invalidate → respawn bumps it)
-        self.sweeps_served = 0  # pooled runs answered by live lanes
-
-    @property
-    def alive(self) -> bool:
-        """Whether the lanes are currently up (workers warm)."""
-        return self._lanes is not None
-
-    def lanes(self) -> list:
-        """The live single-worker executors, spawning them if needed."""
-        if self._lanes is None:
-            import concurrent.futures as cf
-
-            kwargs: dict = {}
-            if self.warm_cache_file is not None:
-                kwargs["initializer"] = _warm_worker_cache
-                kwargs["initargs"] = (self.warm_cache_file,)
-            self._lanes = [
-                cf.ProcessPoolExecutor(max_workers=1, **kwargs)
-                for _ in range(self.max_workers)
-            ]
-            self.generation += 1
-            metric_count("perf.pool.spawns")
-        return self._lanes
-
-    def submit(self, fn, chunk, *args):
-        """Submit ``fn(chunk, *args)`` to the chunk's affinity lane."""
-        lanes = self.lanes()
-        return lanes[_chunk_affinity(chunk) % len(lanes)].submit(fn, chunk, *args)
-
-    def invalidate(self) -> None:
-        """Abandon hung or broken lanes without waiting on them; the
-        next :meth:`submit` call spawns a fresh generation."""
-        lanes, self._lanes = self._lanes, None
-        if lanes is not None:
-            metric_count("perf.pool.invalidated")
-            for lane in lanes:
-                lane.shutdown(wait=False, cancel_futures=True)
-
-    def close(self) -> None:
-        """Orderly retirement: wait for in-flight work, then shut down."""
-        lanes, self._lanes = self._lanes, None
-        if lanes is not None:
-            for lane in lanes:
-                lane.shutdown(wait=True)
-
-    def __enter__(self) -> "PersistentPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 class ParallelEvaluator:
     """Chunked process-pool fan-out with deterministic result order.
 
@@ -469,7 +277,6 @@ class ParallelEvaluator:
         chunk_size: int | None = None,
         min_pool_work: int | None = None,
         policy: RobustPolicy | None = None,
-        pool: PersistentPool | None = None,
     ):
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
@@ -477,45 +284,30 @@ class ParallelEvaluator:
             raise ValueError("chunk_size must be >= 1")
         if min_pool_work is not None and min_pool_work < 0:
             raise ValueError("min_pool_work must be >= 0")
-        if max_workers is None and pool is not None:
-            max_workers = pool.max_workers
         self.max_workers = max_workers if max_workers is not None else os.cpu_count() or 1
         self.chunk_size = chunk_size
-        #: Constructor override; ``None`` defers to
-        #: ``EvalOptions.min_pool_work``, then to a per-run calibration
-        #: probe, then to :data:`DEFAULT_MIN_POOL_WORK`
-        #: (see :meth:`_resolve_min_pool_work`).
+        #: Constructor override (``0`` forces the pool — the test seam);
+        #: ``None`` defers to a per-run calibration probe, then to
+        #: :data:`DEFAULT_MIN_POOL_WORK` (see :meth:`_resolve_min_pool_work`).
         self.min_pool_work = min_pool_work
         self.policy = policy
-        #: A :class:`PersistentPool` to submit to instead of spawning a
-        #: throwaway executor per run; it is left running afterwards
-        #: (workers keep their warm caches for the next sweep) and only
-        #: invalidated when the degradation ladder finds it hung/broken.
-        self.pool = pool
         self.used_pool = False  # whether the last run actually fanned out
         self.fallback_reason: str | None = None  # why the last run stayed serial
         #: How the last run's ``min_pool_work`` was chosen:
         #: ``{"min_pool_work", "source", "per_eval_s", "probe_s"}`` with
-        #: source ``constructor`` / ``options`` / ``probe`` / ``default``.
+        #: source ``constructor`` / ``probe`` / ``default``.
         self.calibration: dict | None = None
-        #: Cache hits/misses accrued *inside the workers* during the last
-        #: run (summed deltas, not lifetime totals) — on a persistent
-        #: pool's second sweep ``schedule_hits > 0`` proves cross-sweep
-        #: reuse.
-        self.worker_cache_stats = CacheStats()
         self._progress_done = 0  # jobs finished (live progress events)
         self._progress_total = 0
         self._progress_retries = 0
         self._progress_quarantined = 0
 
     def _resolve_min_pool_work(
-        self, options: EvalOptions, probe: Callable[[], "tuple[float, float] | None"] | None = None
+        self, probe: Callable[[], "tuple[float, float] | None"] | None = None
     ) -> int:
-        """Constructor beats options beats the calibration probe beats
-        the module default — so a test that built the evaluator with
-        ``min_pool_work=0`` keeps forcing the pool, while ``repro sweep
-        --min-pool-work`` reaches here via
-        :attr:`EvalOptions.min_pool_work`.  In auto mode (neither set)
+        """The constructor value beats the calibration probe beats the
+        module default — so a test that built the evaluator with
+        ``min_pool_work=0`` keeps forcing the pool.  In auto mode
         ``probe`` measures one real evaluation and
         :func:`calibrate_min_pool_work` turns it into the pool's
         break-even sweep size; the chosen threshold and probe cost land
@@ -526,12 +318,6 @@ class ParallelEvaluator:
                 "per_eval_s": None, "probe_s": None,
             }
             return self.min_pool_work
-        if options.min_pool_work is not None:
-            self.calibration = {
-                "min_pool_work": options.min_pool_work, "source": "options",
-                "per_eval_s": None, "probe_s": None,
-            }
-            return options.min_pool_work
         if probe is not None:
             measured = probe()
             if measured is not None:
@@ -602,8 +388,7 @@ class ParallelEvaluator:
         return max(1, -(-n_jobs // (self.max_workers * 4)))
 
     def _collect_chunks(
-        self, pool, futures: list, chunks: list, worker, n, options, collect,
-        owns_pool: bool = True,
+        self, pool, futures: list, chunks: list, evaluate, n, options, collect
     ) -> list:
         """Harvest pooled chunk results in order, riding the degradation
         ladder of :class:`~repro.robust.harden.RobustPolicy`.
@@ -683,21 +468,18 @@ class ParallelEvaluator:
                             time.sleep(retry_delay(policy, i, attempt))
                             attempt += 1
                             try:
-                                future = pool.submit(worker, chunks[i], n, options, collect)
+                                future = pool.submit(
+                                    _run_chunk, evaluate, chunks[i], n, options, collect
+                                )
                             except RuntimeError:  # pool shut down underneath us
                                 broken = True
                                 break
                             continue
                         break  # retries exhausted: serial re-run decides
         finally:
-            if owns_pool:
-                # A wedged pool must not be joined (shutdown(wait=True)
-                # would block on the hung worker forever).
-                pool.shutdown(wait=not abandoned, cancel_futures=abandoned or broken)
-            elif abandoned or broken:
-                # A persistent pool that hung or broke is retired without
-                # waiting; the next sweep spawns a fresh generation.
-                self.pool.invalidate()
+            # A wedged pool must not be joined (shutdown(wait=True)
+            # would block on the hung worker forever).
+            pool.shutdown(wait=not abandoned, cancel_futures=abandoned or broken)
         return per_chunk
 
     def _wait_result(self, future, timeout: float | None):
@@ -729,14 +511,14 @@ class ParallelEvaluator:
                 )
 
     def _serial_chunk(
-        self, worker, chunk: list, n, options, make_failed, base_index: int
+        self, evaluate, chunk: list, n, options, make_failed, base_index: int
     ):
         """In-process re-run of one failed chunk, one job at a time so a
         single poisoned job quarantines instead of sinking its chunk."""
         results = []
         for j, job in enumerate(chunk):
             try:
-                results.append(worker([job], n, options)[0][0])
+                results.append(_run_chunk(evaluate, [job], n, options)[0][0])
             except Exception as err:
                 if (
                     self.policy is None
@@ -758,30 +540,15 @@ class ParallelEvaluator:
             )
         # In-process: collectors landed on the parent directly, so there is
         # nothing to merge (same shape as a pooled chunk result).
-        return (results, None, None, None, None, None)
+        return (results, None, None, None)
 
-    def _absorb_cache_info(self, cache_info) -> None:
-        """Fold one chunk's worker cache delta into this run's total."""
-        if not cache_info:
-            return
-        _pid, delta = cache_info
-        stats = self.worker_cache_stats
-        stats.compile_hits += delta.compile_hits
-        stats.compile_misses += delta.compile_misses
-        stats.schedule_hits += delta.schedule_hits
-        stats.schedule_misses += delta.schedule_misses
-
-    def _serial_run(self, worker, jobs, n, options) -> list:
+    def _serial_run(self, evaluate, jobs, n, options) -> list:
         """In-process execution of the whole run (the serial fallback)."""
-        results, _profiler, _metrics, _events, _samples, cache_info = worker(
-            jobs, n, options
-        )
-        self._absorb_cache_info(cache_info)
-        return results
+        return _run_chunk(evaluate, jobs, n, options)[0]
 
     def _map_chunks(
         self,
-        worker,
+        evaluate: Callable,
         jobs: Sequence,
         n: int | None,
         options: EvalOptions,
@@ -789,7 +556,7 @@ class ParallelEvaluator:
         make_failed: Callable | None = None,
         probe: Callable | None = None,
     ) -> list:
-        """Run ``worker`` over job chunks, serially or on a process pool;
+        """Run ``evaluate`` over job chunks, serially or on a process pool;
         either way the flattened results keep the jobs' insertion order.
         ``work`` estimates the sweep size in loop evaluations for the
         ``min_pool_work`` threshold (``None`` = unknown, no threshold).
@@ -802,14 +569,13 @@ class ParallelEvaluator:
         self.used_pool = False
         self.fallback_reason = None
         self.calibration = None
-        self.worker_cache_stats = CacheStats()
         self._progress_done = 0
         self._progress_total = len(jobs)
         self._progress_retries = 0
         self._progress_quarantined = 0
         if not (self.max_workers > 1 and len(jobs) > 1 and work is not None):
             probe = None  # the threshold cannot change the outcome: skip it
-        min_pool_work = self._resolve_min_pool_work(options, probe)
+        min_pool_work = self._resolve_min_pool_work(probe)
         with observation_scope(options):
             # Workers run their own collectors/caches; the options they
             # receive must be picklable and collector-free.
@@ -824,7 +590,7 @@ class ParallelEvaluator:
                 metric_count("perf.parallel.mode.serial")
                 self._note_mode("serial", min_pool_work)
                 # In-process: stages land on the parent collectors directly.
-                return self._serial_run(worker, jobs, n, options)
+                return self._serial_run(evaluate, jobs, n, options)
             if work is not None and min_pool_work > 0 and work < min_pool_work:
                 self.fallback_reason = (
                     f"below min-work threshold ({work} < {min_pool_work} "
@@ -832,46 +598,34 @@ class ParallelEvaluator:
                 )
                 metric_count("perf.parallel.mode.serial")
                 self._note_mode("serial", min_pool_work)
-                return self._serial_run(worker, jobs, n, options)
+                return self._serial_run(evaluate, jobs, n, options)
             chunks = chunked(jobs, self._resolve_chunk_size(len(jobs)))
-            profiler = active_profiler()
             registry = active_metrics()
             sampler = active_sampler()
             collect = (
-                profiler is not None,
                 registry is not None,
                 any(isinstance(t, RecordingTracer) for t in active_tracers()),
                 sampler.hz if sampler is not None else 0.0,
             )
-            owns_pool = self.pool is None
             try:
                 import concurrent.futures as cf
 
-                if owns_pool:
-                    pool = cf.ProcessPoolExecutor(max_workers=self.max_workers)
-                else:
-                    self.pool.lanes()  # spawn inside the try: failures fall back
-                    pool = self.pool
+                pool = cf.ProcessPoolExecutor(max_workers=self.max_workers)
                 futures = [
-                    pool.submit(worker, chunk, n, options, collect)
+                    pool.submit(_run_chunk, evaluate, chunk, n, options, collect)
                     for chunk in chunks
                 ]
             except (OSError, ImportError, PermissionError, NotImplementedError, RuntimeError) as err:
-                # No usable process pool on this platform (or the
-                # persistent pool could not spawn): serial fallback.
-                if not owns_pool:
-                    self.pool.invalidate()
+                # No usable process pool on this platform: serial fallback.
                 self.fallback_reason = f"{type(err).__name__}: {err}"
                 metric_count("parallel.pool_fallbacks")
                 metric_count("perf.parallel.mode.serial")
                 self._note_mode("serial", min_pool_work)
-                return self._serial_run(worker, jobs, n, options)
+                return self._serial_run(evaluate, jobs, n, options)
             per_chunk = self._collect_chunks(
-                pool, futures, chunks, worker, n, options, collect, owns_pool
+                pool, futures, chunks, evaluate, n, options, collect
             )
             self.used_pool = True
-            if self.pool is not None and self.pool.alive:
-                self.pool.sweeps_served += 1
             rerun = [i for i, chunk_result in enumerate(per_chunk) if chunk_result is None]
             if rerun:
                 # Degraded: the unfinished chunks re-run serially in-process
@@ -883,35 +637,24 @@ class ParallelEvaluator:
                     offsets.append(offsets[-1] + len(chunk))
                 for i in rerun:
                     per_chunk[i] = self._serial_chunk(
-                        worker, chunks[i], n, options, make_failed, offsets[i]
+                        evaluate, chunks[i], n, options, make_failed, offsets[i]
                     )
             metric_count("parallel.pool_runs")
             metric_count("perf.parallel.mode.pool")
             metric_count("parallel.chunks", len(chunks))
-            pool_kind = "persistent pool" if self.pool is not None else "pool"
             self._note_mode(
-                f"{pool_kind}[{self.max_workers} worker(s), {len(chunks)} chunk(s)]",
+                f"pool[{self.max_workers} worker(s), {len(chunks)} chunk(s)]",
                 min_pool_work,
             )
             results = []
-            for (
-                chunk_results,
-                worker_profiler,
-                worker_metrics,
-                worker_events,
-                worker_samples,
-                cache_info,
-            ) in per_chunk:
+            for chunk_results, worker_metrics, worker_events, worker_samples in per_chunk:
                 results.extend(chunk_results)
-                if profiler is not None and worker_profiler is not None:
-                    profiler.merge(worker_profiler)
                 if registry is not None and worker_metrics is not None:
                     registry.merge(worker_metrics)
                 if worker_events:
                     ingest_events(worker_events)
                 if sampler is not None and worker_samples is not None:
                     sampler.merge_profile(worker_samples)
-                self._absorb_cache_info(cache_info)
             return results
 
     def evaluate_corpora(
@@ -919,19 +662,20 @@ class ParallelEvaluator:
         jobs: Sequence,
         n: int | None = None,
         options: EvalOptions | None = None,
-        **legacy,
     ) -> "list[CorpusEvaluation]":
         """Evaluate ``(name, loops, machine)`` jobs; results in job order.
 
         ``options`` forwards to :func:`repro.pipeline.evaluate_corpus`
         (its ``cache``/``tracer``/``metrics``/``jobs`` fields are managed
-        by the evaluator); legacy keyword arguments are deprecated shims.
-        Each returned corpus carries this run's ``fallback_reason``.
+        by the evaluator).  Each returned corpus carries this run's
+        ``fallback_reason``.
         """
-        options = EvalOptions.coerce(options, **legacy)
+        from repro.pipeline import evaluate_corpus
+
+        options = resolve_options(options)
         work = sum(len(loops) for _name, loops, _machine in jobs)
         results = self._map_chunks(
-            _run_corpus_chunk, jobs, n, options, work=work,
+            evaluate_corpus, jobs, n, options, work=work,
             make_failed=_failed_corpus_job,
             probe=lambda: self._probe_per_eval(jobs, n, options),
         )
@@ -944,12 +688,13 @@ class ParallelEvaluator:
         jobs: Sequence,
         n: int | None = None,
         options: EvalOptions | None = None,
-        **legacy,
     ) -> "list[ProgramEvaluation]":
         """Evaluate ``(program_or_source, machine)`` jobs; results in job
         order.  ``options`` forwards to :func:`repro.pipeline.
         evaluate_program`."""
-        options = EvalOptions.coerce(options, **legacy)
+        from repro.pipeline import evaluate_program
+
         return self._map_chunks(
-            _run_program_chunk, jobs, n, options, make_failed=_failed_program_job
+            evaluate_program, jobs, n, resolve_options(options),
+            make_failed=_failed_program_job,
         )

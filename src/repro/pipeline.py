@@ -12,8 +12,7 @@ benchmark corpus the way the paper's Table 2 does.
 Every driver takes a single frozen :class:`~repro.options.EvalOptions`
 value (the stable facade; see ``docs/api.md``).  The pre-``EvalOptions``
 keyword arguments (``apply_restructuring``, ``fuse``, ``cache``,
-``exact_simulation``, ...) still work but emit ``DeprecationWarning`` and
-are mapped onto an ``EvalOptions`` internally.
+``exact_simulation``, ...) were removed in 2.0.0.
 
 Observability (see :mod:`repro.obs` and ``docs/observability.md``): every
 stage is wrapped in a :func:`repro.obs.span` trace span, and
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.codegen import FuseStore, LoweredLoop, lower_loop
+from repro.codegen import LoweredLoop, lower_loop
 from repro.deps import LoopClass
 from repro.dfg import DataFlowGraph, build_dfg
 from repro.ir.ast_nodes import Loop
@@ -36,7 +35,8 @@ from repro.obs.metrics import active_metrics, context_metrics
 from repro.obs.metrics import count as metric_count
 from repro.obs.metrics import observe as metric_observe
 from repro.obs.trace import emit_progress, span
-from repro.options import EvalOptions, observation_scope as _collectors
+from repro.options import EvalOptions, resolve_options
+from repro.options import observation_scope as _collectors
 from repro.robust.harden import FailureRecord
 from repro.sched import (
     MachineConfig,
@@ -67,26 +67,14 @@ class CompiledLoop:
         return self.restructured.classification
 
 
-def compile_loop(
-    loop: Loop | str,
-    options: EvalOptions | None = None,
-    apply_restructuring: bool | None = None,
-    fuse: FuseStore | None = None,
-) -> CompiledLoop:
+def compile_loop(loop: Loop | str, options: EvalOptions | None = None) -> CompiledLoop:
     """Front half of the pipeline.  Raises ``ValueError`` for SERIAL loops
     (the paper drops them from the study too).
 
     ``options`` carries the compile knobs (``apply_restructuring``,
-    ``fuse``); passing those as keyword (or legacy positional) arguments
-    still works but is deprecated.
+    ``fuse``).
     """
-    if isinstance(options, bool):  # legacy: compile_loop(loop, True[, fuse])
-        if isinstance(apply_restructuring, FuseStore) and fuse is None:
-            fuse = apply_restructuring
-        apply_restructuring, options = options, None
-    options = EvalOptions.coerce(
-        options, apply_restructuring=apply_restructuring, fuse=fuse
-    )
+    options = resolve_options(options)
     with span("compile"), _collectors(options):
         if isinstance(loop, str):
             with span("parse"):
@@ -177,19 +165,14 @@ def evaluate_loop(
     machine: MachineConfig,
     n: int | None = None,
     options: EvalOptions | None = None,
-    **legacy,
 ) -> LoopEvaluation:
     """Schedule with both algorithms and simulate the DOACROSS execution.
 
     All knobs (``verify``, ``check_semantics``, ``list_priority``,
     ``sync_options``, ``exact_simulation``, ``cache``) live on
-    ``options``; passing them as keyword arguments still works but is
-    deprecated.
+    ``options``.
     """
-    if isinstance(options, bool):  # legacy: evaluate_loop(c, m, n, verify)
-        legacy.setdefault("verify", options)
-        options = None
-    options = EvalOptions.coerce(options, **legacy)
+    options = resolve_options(options)
     with span("evaluate_loop"), _collectors(options):
         return _evaluate_loop(compiled, machine, n, options)
 
@@ -311,7 +294,6 @@ def evaluate_corpus(
     machine: MachineConfig,
     n: int | None = None,
     options: EvalOptions | None = None,
-    **legacy,
 ) -> CorpusEvaluation:
     """Compile and evaluate every loop of a corpus on one machine.
 
@@ -322,10 +304,9 @@ def evaluate_corpus(
     the per-loop path below with ``fallback_reason`` recording why.
     With ``options.jobs > 1`` the loops are fanned out over a
     :class:`~repro.perf.parallel.ParallelEvaluator` (results are
-    identical to the serial order either way).  Legacy keyword arguments
-    are deprecated shims onto ``options``.
+    identical to the serial order either way).
     """
-    options = EvalOptions.coerce(options, **legacy)
+    options = resolve_options(options)
     batch_fallback: str | None = None
     if options.batch:
         from repro.perf.batch import batch_incompatibility, shared_batch_evaluator
@@ -448,7 +429,6 @@ def evaluate_program(
     machine: MachineConfig,
     n: int | None = None,
     options: EvalOptions | None = None,
-    **legacy,
 ) -> ProgramEvaluation:
     """Evaluate every loop of a compilation unit (Fig. 5 at program scope).
 
@@ -457,7 +437,7 @@ def evaluate_program(
     """
     from repro.ir.parser import parse_program
 
-    options = EvalOptions.coerce(options, **legacy)
+    options = resolve_options(options)
     with span("evaluate_program", machine=machine.name), _collectors(options):
         if isinstance(program_or_source, str):
             with span("parse"):

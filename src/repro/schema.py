@@ -93,6 +93,7 @@ Version history — the documented contract lives in ``docs/api.md``:
 from __future__ import annotations
 
 import json
+import os
 from typing import Any
 
 #: Record format version; bump when any record's shape changes (docs/api.md).
@@ -114,6 +115,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "dump_line",
     "parse_line",
+    "read_records",
     "stamped",
 ]
 
@@ -165,3 +167,34 @@ def parse_line(line: str) -> dict[str, Any]:
             f"understands (v{SCHEMA_VERSION}); upgrade to read it"
         )
     return record
+
+
+def read_records(path: str, kind: str) -> tuple[list[dict[str, Any]], bool]:
+    """Every ``kind`` record of the JSONL file at ``path``, oldest first,
+    and whether its final line was torn.
+
+    The one reader behind every append-only store (run ledger, bench
+    history, profile store).  Lines :func:`parse_line` rejects are
+    skipped, so a log torn mid-write never sinks its readers; an
+    unreadable *final* line — the signature of a process killed
+    mid-append — is reported so the caller can say the log lost its last
+    write.  A missing file reads as empty.
+    """
+    if not os.path.exists(path):
+        return [], False
+    records: list[dict[str, Any]] = []
+    last_was_torn = False
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = parse_line(line)
+            except ValueError:
+                last_was_torn = True
+                continue
+            last_was_torn = False
+            if record.get("kind") == kind:
+                records.append(record)
+    return records, last_was_torn

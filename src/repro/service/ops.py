@@ -34,6 +34,7 @@ from typing import Any, Callable, Sequence
 from repro.codegen import format_listing
 from repro.dfg import find_sync_paths, partition, to_dot
 from repro.ir import format_loop
+from repro.obs.trace import span
 from repro.pipeline import compile_loop
 from repro.sched import (
     Schedule,
@@ -119,6 +120,14 @@ class _Buffers:
     def err(self, *args: Any, **kwargs: Any) -> None:
         print(*args, file=self._err, **kwargs)
 
+    def warn_torn(self, store: Any) -> None:
+        """Say so when the store's last ``load`` skipped a torn final line."""
+        if store.torn_tail:
+            self.err(
+                f"warning: the final line of {store.path} was torn (a process "
+                "died mid-append); skipped"
+            )
+
     def result(
         self, exit_code: int = 0, data: dict[str, Any] | None = None
     ) -> OpResult:
@@ -176,14 +185,12 @@ def schedule_op(
     machine = paper_machine(issue, fu)
     names = list(SCHEDULERS) if scheduler == "all" else [scheduler]
     results: list[tuple[str, Schedule, int]] = []
-    from repro.perf import profiled
-
     for name in names:
-        with profiled("schedule"):
+        with span("schedule"):
             schedule = SCHEDULERS[name](compiled.lowered, compiled.graph, machine)
-        with profiled("verify"):
+        with span("verify"):
             assert_valid(schedule, compiled.graph)
-        with profiled("simulate"):
+        with span("simulate"):
             sim = simulate_doacross(schedule, n)
         results.append((name, schedule, sim.parallel_time))
         b.out(f"== {name} scheduling on {machine.name} ==")
@@ -324,7 +331,6 @@ def sweep_results(
     exact_sim,
     no_cache=False,
     cache_file=None,
-    min_pool_work=None,
     progress=False,
     batch=False,
 ):
@@ -337,10 +343,7 @@ def sweep_results(
     jobs = [
         (name, suite[name], paper_machine(*case)) for name in names for case in cases
     ]
-    options = EvalOptions(
-        exact_simulation=exact_sim, min_pool_work=min_pool_work, progress=progress,
-        batch=batch,
-    )
+    options = EvalOptions(exact_simulation=exact_sim, progress=progress, batch=batch)
     run_recorder = active_recorder()
     if run_recorder is not None:
         run_recorder.note_options(options)
@@ -404,7 +407,6 @@ def sweep_op(
     cache_file: str | None = None,
     exact_sim: bool = False,
     batch: bool = False,
-    min_pool_work: int | None = None,
     progress: bool = False,
     structured: bool = False,
 ) -> OpResult:
@@ -427,7 +429,7 @@ def sweep_op(
         )
     results, cases, notes = sweep_results(
         names, n, jobs, exact_sim, no_cache, cache_file,
-        min_pool_work=min_pool_work, progress=progress, batch=batch,
+        progress=progress, batch=batch,
     )
     for note in notes:
         b.err(note)
@@ -614,6 +616,7 @@ def bench_list_op(history: str) -> OpResult:
     b = _Buffers()
     store = _bench_history(history)
     runs = store.load()
+    b.warn_torn(store)
     if not runs:
         b.out(f"no runs recorded in {store.path}")
         return b.result()
@@ -852,6 +855,7 @@ def prof_top_op(
     except KeyError as err:
         b.err(str(err.args[0]) if err.args else str(err))
         return b.result(exit_code=1)
+    b.warn_torn(store)
     b.out(profile_top_table(profile, limit=limit))
     return b.result()
 
@@ -901,11 +905,7 @@ def runs_list_op(ledger: str, inflight: bool = False) -> OpResult:
     b = _Buffers()
     store = _run_ledger(ledger)
     records = store.load()
-    if store.torn_tail:
-        b.err(
-            f"warning: the final line of {store.path} was torn (a process "
-            "died mid-append); skipped"
-        )
+    b.warn_torn(store)
     if inflight:
         records = unfinished_inflight(records)
         if not records:
@@ -1315,14 +1315,6 @@ def _cfg_sweep(sub, ledger_flag) -> None:
         action="store_true",
         help="answer the whole grid through the vectorized batch engine "
         "(one closed-form pass; results identical to the per-loop path)",
-    )
-    p.add_argument(
-        "--min-pool-work",
-        type=int,
-        default=None,
-        metavar="N",
-        help="loop evaluations below which --jobs stays serial "
-        "(0 forces the pool; default: the perf-layer threshold)",
     )
     p.add_argument(
         "--progress",
@@ -1893,7 +1885,6 @@ def _run_sweep(args) -> OpResult:
         cache_file=args.cache_file,
         exact_sim=args.exact_sim,
         batch=args.batch,
-        min_pool_work=args.min_pool_work,
         progress=args.progress,
     )
 
@@ -2090,6 +2081,5 @@ def op_epilog() -> str:
 
 
 def run_op(name: str, args: argparse.Namespace) -> OpResult:
-    """Dispatch one parsed invocation through the registry (the CLI's
-    single call site; also the legacy ``cmd_*`` shims' engine)."""
+    """Dispatch one parsed invocation through the registry."""
     return OP_REGISTRY[name].run(args)

@@ -1,15 +1,10 @@
-"""The deprecated shims: every legacy keyword and import path still works.
+"""The removed deprecated shims stay removed, and the stable spelling holds.
 
-The PR 1-era keyword arguments on the pipeline entry points must (a) map
-onto the corresponding :class:`repro.EvalOptions` field, (b) produce the
-same results as the ``options=`` spelling, and (c) emit exactly one
-``DeprecationWarning`` per call naming the replacement (docs/api.md).
-
-The service split (schema v7) moved the subcommand bodies out of
-``repro.cli`` into :mod:`repro.service.ops`; the old ``repro.cli``
-attributes (``cmd_*``, ``SCHEDULERS``, ``_read_source``, ...) must keep
-resolving with exactly one ``DeprecationWarning`` each, naming the new
-home (docs/service.md).
+The 1.x keyword arguments on the pipeline entry points were removed in
+2.0.0 (docs/api.md). For every keyword that ever shipped, each entry
+point must (a) reject it with Python's own ``TypeError`` naming the
+keyword, and (b) give the same results through ``options=`` without
+emitting a ``DeprecationWarning``.
 """
 
 import warnings
@@ -26,6 +21,7 @@ from repro import (
     paper_machine,
 )
 from repro.codegen import FuseStore
+from repro.ir import parse_loop
 from repro.sched import Priority, SyncSchedulerOptions
 
 FIG1 = """
@@ -36,7 +32,7 @@ DO I = 1, 100
 ENDDO
 """
 
-# (legacy kwarg, a non-default value) — one entry per EvalOptions field
+# (removed kwarg, a non-default value) — one entry per EvalOptions field
 # that ever shipped as a keyword argument.
 LEGACY_KWARGS = [
     ("apply_restructuring", False),
@@ -50,179 +46,85 @@ LEGACY_KWARGS = [
 ]
 
 
-def _one_deprecation(caught):
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1, (
-        f"expected exactly one DeprecationWarning, got {len(deprecations)}: "
-        f"{[str(w.message) for w in deprecations]}"
-    )
-    return str(deprecations[0].message)
+def _rejects_every_legacy_kwarg(call):
+    for name, value in LEGACY_KWARGS:
+        with pytest.raises(TypeError, match=name):
+            call(**{name: value})
 
 
-class TestCoerceMapsEveryLegacyKwarg:
-    @pytest.mark.parametrize("name,value", LEGACY_KWARGS, ids=[n for n, _ in LEGACY_KWARGS])
-    def test_maps_onto_field_with_one_warning(self, name, value):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            options = EvalOptions.coerce(None, **{name: value})
-        message = _one_deprecation(caught)
-        assert name in message and "EvalOptions" in message
-        assert getattr(options, name) == value
-        # every other field keeps its default
-        defaults = EvalOptions()
-        for other, _ in LEGACY_KWARGS:
-            if other != name:
-                assert getattr(options, other) == getattr(defaults, other)
-
-    def test_legacy_wins_over_options_field(self):
-        base = EvalOptions(exact_simulation=False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            options = EvalOptions.coerce(base, exact_simulation=True)
-        _one_deprecation(caught)
-        assert options.exact_simulation is True
-
-    def test_unknown_kwarg_raises_type_error(self):
-        with pytest.raises(TypeError, match="unknown evaluation option"):
-            EvalOptions.coerce(None, exact_simulatoin=True)
-
-    def test_no_warning_without_legacy_kwargs(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            EvalOptions.coerce(EvalOptions(exact_simulation=True))
-        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
+def _no_deprecation(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
+    return result
 
 
 class TestEntryPointsWarnOnceAndAgree:
+    """Names kept from 1.x, when each entry point warned once and agreed;
+    now each rejects every removed keyword and agrees through ``options=``."""
+
     def test_compile_loop(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = compile_loop(FIG1, apply_restructuring=False)
-        _one_deprecation(caught)
-        stable = compile_loop(FIG1, EvalOptions(apply_restructuring=False))
-        assert shimmed.lowered.instructions == stable.lowered.instructions
+        _rejects_every_legacy_kwarg(lambda **kw: compile_loop(FIG1, **kw))
+        options = EvalOptions(apply_restructuring=False)
+        positional = _no_deprecation(lambda: compile_loop(FIG1, options))
+        keyword = _no_deprecation(lambda: compile_loop(FIG1, options=options))
+        assert positional.lowered.instructions == keyword.lowered.instructions
 
     def test_evaluate_loop(self):
         compiled = compile_loop(FIG1)
         machine = paper_machine(4, 1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = evaluate_loop(compiled, machine, n=50, exact_simulation=True)
-        _one_deprecation(caught)
-        stable = evaluate_loop(
-            compiled, machine, n=50, options=EvalOptions(exact_simulation=True)
+        _rejects_every_legacy_kwarg(
+            lambda **kw: evaluate_loop(compiled, machine, n=50, **kw)
         )
-        assert (shimmed.t_list, shimmed.t_new) == (stable.t_list, stable.t_new)
+        exact = _no_deprecation(
+            lambda: evaluate_loop(
+                compiled, machine, n=50, options=EvalOptions(exact_simulation=True)
+            )
+        )
+        again = evaluate_loop(
+            compiled, machine, 50, EvalOptions(exact_simulation=True)
+        )
+        assert (exact.t_list, exact.t_new) == (again.t_list, again.t_new)
 
     def test_evaluate_corpus(self):
-        from repro.ir import parse_loop
-
         loops = [parse_loop(FIG1)]
         machine = paper_machine(2, 1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = evaluate_corpus("fig1", loops, machine, 50, verify=False)
-        _one_deprecation(caught)
-        stable = evaluate_corpus(
-            "fig1", loops, machine, 50, options=EvalOptions(verify=False)
+        _rejects_every_legacy_kwarg(
+            lambda **kw: evaluate_corpus("fig1", loops, machine, 50, **kw)
         )
-        assert (shimmed.t_list, shimmed.t_new) == (stable.t_list, stable.t_new)
+        unverified = _no_deprecation(
+            lambda: evaluate_corpus(
+                "fig1", loops, machine, 50, options=EvalOptions(verify=False)
+            )
+        )
+        verified = evaluate_corpus("fig1", loops, machine, 50, options=EvalOptions())
+        assert (unverified.t_list, unverified.t_new) == (
+            verified.t_list,
+            verified.t_new,
+        )
 
     def test_parallel_evaluator(self):
-        from repro.ir import parse_loop
-
-        jobs = [("fig1", [parse_loop(FIG1)], paper_machine(2, 1))]
+        loops = [parse_loop(FIG1)]
+        machine = paper_machine(2, 1)
+        jobs = [("fig1", loops, machine)]
         evaluator = ParallelEvaluator(max_workers=1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = evaluator.evaluate_corpora(jobs, n=50, exact_simulation=True)
-        _one_deprecation(caught)
-        stable = evaluator.evaluate_corpora(
-            jobs, n=50, options=EvalOptions(exact_simulation=True)
+        _rejects_every_legacy_kwarg(
+            lambda **kw: evaluator.evaluate_corpora(jobs, n=50, **kw)
         )
-        assert [(r.t_list, r.t_new) for r in shimmed] == [
-            (r.t_list, r.t_new) for r in stable
+        options = EvalOptions(exact_simulation=True)
+        pooled = _no_deprecation(
+            lambda: evaluator.evaluate_corpora(jobs, n=50, options=options)
+        )
+        serial = evaluate_corpus("fig1", loops, machine, 50, options=options)
+        assert [(r.t_list, r.t_new) for r in pooled] == [
+            (serial.t_list, serial.t_new)
         ]
-
-class TestMovedCliImportsShimmed:
-    """``repro.cli`` names moved to ``repro.service.ops`` still resolve."""
-
-    MOVED = [
-        "SCHEDULERS",
-        "_read_source",
-        "_machine",
-        "_sweep_results",
-        "cmd_compile",
-        "cmd_schedule",
-        "cmd_modulo",
-        "cmd_simulate",
-        "cmd_fuzz",
-        "cmd_sweep",
-        "cmd_metrics",
-        "cmd_explain",
-        "cmd_dot",
-        "cmd_dash",
-        "cmd_bench_record",
-        "cmd_bench_list",
-        "cmd_bench_diff",
-        "cmd_bench_check",
-        "cmd_runs_list",
-        "cmd_runs_show",
-        "cmd_runs_diff",
-    ]
-
-    @pytest.mark.parametrize("name", MOVED)
-    def test_resolves_with_one_warning_naming_new_home(self, name):
-        import repro.cli as cli
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = getattr(cli, name)
-        message = _one_deprecation(caught)
-        assert name in message and "repro.service.ops" in message
-        assert value is not None
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.cli as cli
-
-        with pytest.raises(AttributeError, match="no attribute"):
-            cli.cmd_nonexistent
-
-    def test_shimmed_cmd_matches_modern_op(self, capsys, tmp_path):
-        """A shimmed cmd_* prints and returns like the old function did."""
-        import argparse
-
-        import repro.cli as cli
-
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            cmd_compile = cli.cmd_compile
-        loop_file = tmp_path / "fig1.loop"
-        loop_file.write_text(FIG1)
-        args = argparse.Namespace(loop=str(loop_file))
-        exit_code = cmd_compile(args)
-        legacy_out = capsys.readouterr().out
-
-        from repro.service.ops import compile_op
-
-        modern = compile_op(FIG1)
-        assert exit_code == modern.exit_code == 0
-        assert legacy_out == modern.stdout
-
-    def test_shimmed_sweep_results_keeps_two_tuple_shape(self):
-        """The pre-split ``_sweep_results`` returned ``(results, cases)``."""
-        import repro.cli as cli
-
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            sweep_results = cli._sweep_results
-        results, cases = sweep_results(["FLQ52"], n=10, workers=1, exact_sim=False)
-        assert cases and len(results) == len(cases)
 
 
 class TestInternalSurfaceClean:
     def test_internal_surface_clean_under_error_filter(self):
-        # the package never calls its own deprecated surface
+        # the package never calls a deprecated surface of its own
         compiled = compile_loop(FIG1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

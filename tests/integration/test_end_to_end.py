@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro import compile_loop, evaluate_corpus, evaluate_loop, figure4_machine, paper_machine
+from repro import (
+    EvalOptions,
+    compile_loop,
+    evaluate_corpus,
+    evaluate_loop,
+    figure4_machine,
+    paper_machine,
+)
 from repro.deps import LoopClass
 from repro.workloads import perfect_benchmark
 
@@ -31,14 +38,17 @@ class TestCompileLoop:
 
     def test_restructuring_can_be_disabled(self):
         compiled = compile_loop(
-            "DO I = 1, 100\n A(I) = A(I-1) + X(I)\nENDDO", apply_restructuring=False
+            "DO I = 1, 100\n A(I) = A(I-1) + X(I)\nENDDO",
+            EvalOptions(apply_restructuring=False),
         )
         assert compiled.restructured.expanded_scalars == []
 
 
 class TestEvaluateLoop:
     def test_fig4_headline(self):
-        result = evaluate_loop(compile_loop(FIG1), figure4_machine(), check_semantics=True)
+        result = evaluate_loop(
+            compile_loop(FIG1), figure4_machine(), options=EvalOptions(check_semantics=True)
+        )
         assert result.t_list == 1201
         assert result.t_new == 356
         assert result.improvement == pytest.approx(70.36, abs=0.05)
@@ -54,7 +64,7 @@ class TestEvaluateLoop:
         result = evaluate_loop(
             compile_loop("DO I = 1, 30\n A(I) = A(I-1) * X(I)\nENDDO"),
             paper_machine(2, 1),
-            check_semantics=True,
+            options=EvalOptions(check_semantics=True),
         )
         assert result.t_new <= result.t_list
 

@@ -7,6 +7,7 @@ import pytest
 from repro.deps import DepKind, DoacrossType, analyze_loop, classify_doacross
 from repro.ir import Comparison, format_loop, parse_loop
 from repro.codegen import Opcode, format_listing
+from repro.options import EvalOptions
 from repro.pipeline import compile_loop, evaluate_loop
 from repro.sched import paper_machine
 from repro.sim import MemoryImage, execute_parallel, run_serial
@@ -135,12 +136,12 @@ class TestSemantics:
     def test_running_minimum_parallel_equals_serial(self):
         compiled = compile_loop(MIN_LOOP)
         for case in ((2, 1), (4, 1)):
-            evaluate_loop(compiled, paper_machine(*case), check_semantics=True)
+            evaluate_loop(compiled, paper_machine(*case), options=EvalOptions(check_semantics=True))
 
     def test_guard_false_preserves_memory(self):
         compiled = compile_loop("DO I = 1, 20\n IF (X(I) < 0) A(I) = 1\nENDDO")
         # defaults are in [2, 6): the guard never fires
-        result = evaluate_loop(compiled, paper_machine(2, 1), check_semantics=True)
+        result = evaluate_loop(compiled, paper_machine(2, 1), options=EvalOptions(check_semantics=True))
         reference = run_serial(compiled.synced.loop, MemoryImage())
         assert all(cell[0] != "A" for cell in reference.cells)
         del result
@@ -157,4 +158,4 @@ class TestSemantics:
         compiled = compile_loop(
             "DO I = 1, 30\n IF (X(I) > 3) A(I) = A(I-1) + 1\nENDDO"
         )
-        evaluate_loop(compiled, paper_machine(4, 1), check_semantics=True)
+        evaluate_loop(compiled, paper_machine(4, 1), options=EvalOptions(check_semantics=True))

@@ -3,7 +3,7 @@ error paths for guards."""
 
 import pytest
 
-from repro import compile_loop, evaluate_loop, paper_machine
+from repro import EvalOptions, compile_loop, evaluate_loop, paper_machine
 from repro.ir import ParseError, parse_loop
 from repro.sched import Priority
 from repro.sched.modulo import modulo_schedule, verify_modulo
@@ -22,7 +22,9 @@ class TestOptionPassThrough:
         compiled = compile_loop(FIG1)
         prog = evaluate_loop(compiled, paper_machine(4, 1))
         cp = evaluate_loop(
-            compiled, paper_machine(4, 1), list_priority=Priority.CRITICAL_PATH
+            compiled,
+            paper_machine(4, 1),
+            options=EvalOptions(list_priority=Priority.CRITICAL_PATH),
         )
         assert prog.schedule_list.scheduler_name == "list/program_order"
         assert cp.schedule_list.scheduler_name == "list/critical_path"
@@ -34,7 +36,7 @@ class TestOptionPassThrough:
         off = evaluate_loop(
             compiled,
             paper_machine(4, 1),
-            sync_options=SyncSchedulerOptions(contiguous_sp=False),
+            options=EvalOptions(sync_options=SyncSchedulerOptions(contiguous_sp=False)),
         )
         on = evaluate_loop(compiled, paper_machine(4, 1))
         assert on.t_new <= off.t_new
@@ -42,7 +44,7 @@ class TestOptionPassThrough:
     def test_fuse_option_reaches_lowering(self):
         from repro.codegen import FuseStore
 
-        never = compile_loop(FIG1, fuse=FuseStore.NEVER)
+        never = compile_loop(FIG1, EvalOptions(fuse=FuseStore.NEVER))
         paper = compile_loop(FIG1)
         assert len(never.lowered) == len(paper.lowered) + 1
 

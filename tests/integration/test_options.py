@@ -1,8 +1,8 @@
-"""EvalOptions facade: round-trips, deprecation shims, equivalence.
+"""EvalOptions facade: round-trips, removed shims, equivalence.
 
 The stable API contract (docs/api.md): every pipeline entry point takes
-``options=EvalOptions(...)``; the PR 1 keyword arguments still work but
-emit ``DeprecationWarning`` and produce byte-identical results.
+``options=EvalOptions(...)``; the 1.x keyword arguments were removed in
+2.0.0 and are now a ``TypeError``.
 """
 
 import dataclasses
@@ -11,6 +11,7 @@ import pytest
 
 from repro import EvalOptions, compile_loop, evaluate_corpus, evaluate_loop
 from repro.codegen import FuseStore
+from repro.options import resolve_options
 from repro.perf import CompileCache, ParallelEvaluator
 from repro.sched import Priority, paper_machine
 
@@ -64,7 +65,6 @@ class TestStableHash:
             "jobs",
             "batch",
             "robust",
-            "min_pool_work",
             "tracer",
             "metrics",
             "journal",
@@ -102,79 +102,55 @@ class TestStableHash:
         )
 
 
-class TestCoerce:
+class TestResolveOptions:
     def test_none_means_defaults(self):
-        assert EvalOptions.coerce(None) == EvalOptions()
+        assert resolve_options(None) == EvalOptions()
 
-    def test_passthrough_no_warning(self, recwarn):
+    def test_passthrough_is_identity(self):
         options = EvalOptions(exact_simulation=True)
-        assert EvalOptions.coerce(options) is options
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_legacy_kwarg_warns_and_applies(self):
-        with pytest.warns(DeprecationWarning, match="exact_simulation"):
-            options = EvalOptions.coerce(None, exact_simulation=True)
-        assert options.exact_simulation is True
-
-    def test_legacy_overrides_options(self):
-        with pytest.warns(DeprecationWarning):
-            options = EvalOptions.coerce(EvalOptions(jobs=2), jobs=5)
-        assert options.jobs == 5
-
-    def test_unknown_kwarg_rejected(self):
-        with pytest.raises(TypeError, match="unknown evaluation option"):
-            EvalOptions.coerce(None, frobnicate=True)
+        assert resolve_options(options) is options
 
     def test_non_options_rejected(self):
         with pytest.raises(TypeError, match="EvalOptions"):
-            EvalOptions.coerce("not options")
+            resolve_options("not options")
 
 
 class TestDeprecatedShims:
-    """The old kwargs still work, warn, and agree with the new API."""
+    """The 1.x keyword shims were removed in 2.0.0: every legacy
+    spelling is now a ``TypeError`` (docs/api.md has the migration)."""
 
     def test_compile_loop_legacy_kwargs(self):
-        with pytest.warns(DeprecationWarning, match="apply_restructuring"):
-            legacy = compile_loop(FIG1, apply_restructuring=False)
-        modern = compile_loop(FIG1, EvalOptions(apply_restructuring=False))
-        assert legacy.lowered.instructions == modern.lowered.instructions
+        with pytest.raises(TypeError, match="apply_restructuring"):
+            compile_loop(FIG1, apply_restructuring=False)
 
     def test_compile_loop_legacy_fuse(self):
-        with pytest.warns(DeprecationWarning, match="fuse"):
-            legacy = compile_loop(FIG1, fuse=FuseStore.NEVER)
-        modern = compile_loop(FIG1, EvalOptions(fuse=FuseStore.NEVER))
-        assert legacy.lowered.instructions == modern.lowered.instructions
+        with pytest.raises(TypeError, match="fuse"):
+            compile_loop(FIG1, fuse=FuseStore.NEVER)
+        # ... and the bool-positional compile_loop(loop, apply_restructuring)
+        with pytest.raises(TypeError, match="EvalOptions"):
+            compile_loop(FIG1, False)
 
     def test_evaluate_loop_legacy_kwargs(self):
         compiled = compile_loop(FIG1)
-        machine = paper_machine(4, 1)
-        with pytest.warns(DeprecationWarning, match="exact_simulation"):
-            legacy = evaluate_loop(compiled, machine, n=50, exact_simulation=True)
-        modern = evaluate_loop(
-            compiled, machine, n=50, options=EvalOptions(exact_simulation=True)
-        )
-        assert (legacy.t_list, legacy.t_new) == (modern.t_list, modern.t_new)
+        with pytest.raises(TypeError, match="exact_simulation"):
+            evaluate_loop(compiled, paper_machine(4, 1), n=50, exact_simulation=True)
 
     def test_evaluate_corpus_legacy_kwargs(self):
-        loops = [FIG1]
-        machine = paper_machine(2, 1)
-        with pytest.warns(DeprecationWarning, match="cache"):
-            legacy = evaluate_corpus("demo", loops, machine, n=50, cache=CompileCache())
-        modern = evaluate_corpus(
-            "demo", loops, machine, n=50, options=EvalOptions(cache=CompileCache())
-        )
-        assert (legacy.t_list, legacy.t_new) == (modern.t_list, modern.t_new)
+        with pytest.raises(TypeError, match="cache"):
+            evaluate_corpus("demo", [FIG1], paper_machine(2, 1), n=50, cache=CompileCache())
 
     def test_parallel_evaluator_legacy_kwargs(self):
-        machine = paper_machine(4, 1)
-        jobs = [("demo", [FIG1], machine)]
         evaluator = ParallelEvaluator(max_workers=1)
-        with pytest.warns(DeprecationWarning, match="exact_simulation"):
-            legacy = evaluator.evaluate_corpora(jobs, n=50, exact_simulation=True)
-        modern = evaluator.evaluate_corpora(
-            jobs, n=50, options=EvalOptions(exact_simulation=True)
-        )
-        assert legacy[0].t_new == modern[0].t_new
+        with pytest.raises(TypeError, match="exact_simulation"):
+            evaluator.evaluate_corpora(
+                [("demo", [FIG1], paper_machine(4, 1))], n=50, exact_simulation=True
+            )
+
+    def test_moved_cli_names_are_gone(self):
+        import repro.cli as cli
+
+        for name in ("cmd_sweep", "_sweep_results", "SCHEDULERS"):
+            assert not hasattr(cli, name), name
 
     def test_modern_api_emits_no_warning(self, recwarn):
         compiled = compile_loop(FIG1, EvalOptions())

@@ -16,6 +16,7 @@ generator's distribution instead of hand-picked examples:
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.options import EvalOptions
 from repro.pipeline import compile_loop, evaluate_loop
 from repro.sched import (
     assert_valid,
@@ -111,7 +112,9 @@ def test_stall_component_never_degrades_single_pair(config, machine):
     exceeds list scheduling's.  The iteration length itself may wobble a
     cycle either way (see EXPERIMENTS.md §6)."""
     compiled = compile_loop(generate_loop(config))
-    result = evaluate_loop(compiled, paper_machine(*machine), verify=False)
+    result = evaluate_loop(
+        compiled, paper_machine(*machine), options=EvalOptions(verify=False)
+    )
     stall_new = result.t_new - result.schedule_new.length
     stall_list = result.t_list - result.schedule_list.length
     assert stall_new <= stall_list

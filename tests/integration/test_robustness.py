@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.options import EvalOptions
 from repro.pipeline import compile_loop, evaluate_loop
 from repro.sched import MachineConfig, UnitSpec, assert_valid, paper_machine
 from repro.sched import list_schedule, marker_schedule, sync_schedule
@@ -73,11 +74,11 @@ class TestStress:
     def test_deep_expression_tree(self):
         body = " + ".join(f"R{k}(I)" for k in range(1, 25))
         compiled = compile_loop(f"DO I = 1, 10\n A(I) = {body} + A(I-1)\nENDDO")
-        result = evaluate_loop(compiled, paper_machine(2, 1), check_semantics=True)
+        result = evaluate_loop(compiled, paper_machine(2, 1), options=EvalOptions(check_semantics=True))
         assert result.t_new <= result.t_list
 
     def test_long_distance_and_short_trip(self):
         compiled = compile_loop("DO I = 1, 12\n A(I) = A(I-11) + X(I)\nENDDO")
-        result = evaluate_loop(compiled, paper_machine(2, 1), check_semantics=True)
+        result = evaluate_loop(compiled, paper_machine(2, 1), options=EvalOptions(check_semantics=True))
         # only one hop in the whole execution
         assert result.t_new <= result.schedule_new.length + result.schedule_new.span(0)

@@ -71,10 +71,14 @@ class TestLedgerRecording:
 
     def test_min_pool_work_recorded_in_mode(self, ledger_path):
         """S1: the chosen mode and the threshold in force land in the record."""
-        assert _sweep(ledger_path, "--jobs", "2", "--min-pool-work", "100000") == 0
+        # QCD is 6 loops x 4 machines = 24 evaluations, under the
+        # calibrated threshold's floor of 32 whatever the probe measures.
+        argv = ["sweep", "--n", "30", "QCD", "--jobs", "2", "--ledger", ledger_path]
+        assert main(argv) == 0
         (record,) = RunLedger(ledger_path).load()
         assert "below min-work threshold" in record.mode
-        assert "min_pool_work=100000" in record.mode
+        assert record.calibration["source"] == "probe"
+        assert f"min_pool_work={record.calibration['min_pool_work']}" in record.mode
 
     def test_simulate_deadlock_outcome(self, ledger_path, loop_file, capsys):
         code = main(

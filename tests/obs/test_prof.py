@@ -179,6 +179,23 @@ class TestProfileStore:
     def test_missing_store_loads_empty(self, tmp_path):
         assert ProfileStore(str(tmp_path / "absent.jsonl")).load() == []
 
+    def test_torn_tail_is_skipped_and_flagged(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "p.jsonl"
+        store = ProfileStore(str(path))
+        profile = make_profile({"a:f": 2}, suite="fig")
+        store.append(profile)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"kind": "profile", "folded": {"a:f')  # killed mid-append
+        assert store.load() == [profile]
+        assert store.torn_tail == 1
+        # `repro prof top` reports it instead of dying on a traceback
+        assert main(["prof", "top", "--profiles", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert profile.profile_id in out
+        assert "was torn" in err
+
 
 class TestProfiler:
     def test_rejects_non_positive_hz(self):

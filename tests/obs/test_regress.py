@@ -10,7 +10,9 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.obs.regress import (
+    DEFAULT_WALL_TOLERANCE,
     BenchHistory,
     BenchPoint,
     BenchRun,
@@ -95,6 +97,20 @@ class TestHistory:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert all(json.loads(line)["kind"] == "bench_run" for line in lines)
+
+    def test_torn_tail_is_skipped_and_flagged(self, tmp_path, capsys):
+        path = tmp_path / "hist.jsonl"
+        history = BenchHistory(str(path))
+        history.append(_run(run_id="aaaa1111"))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"kind": "bench_run", "run_id": "bb')  # killed mid-append
+        assert [r.run_id for r in history.load()] == ["aaaa1111"]
+        assert history.torn_tail == 1
+        # `repro bench list` reports it instead of dying on a traceback
+        assert main(["bench", "list", "--history", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "aaaa1111" in out
+        assert "was torn" in err
 
     def test_load_skips_foreign_records(self, tmp_path):
         path = tmp_path / "hist.jsonl"
@@ -184,7 +200,21 @@ class TestCollectRun:
         second = collect_run("fig", n=100)
         assert first.points == second.points
         assert first.options_hash == second.options_hash
-        assert check_run(first, second) == []
+        # The exact cycle gate alone: equal injected wall times keep the
+        # (timing-dependent) wall gate out of this comparison.
+        assert check_run(
+            dataclasses.replace(first, wall_s=1.0),
+            dataclasses.replace(second, wall_s=1.0),
+        ) == []
+
+    def test_wall_gate_on_recorded_runs(self):
+        run = collect_run("fig", n=100)
+        base = dataclasses.replace(run, wall_s=1.0)
+        limit = 1.0 + DEFAULT_WALL_TOLERANCE
+        assert check_run(base, dataclasses.replace(run, wall_s=limit - 0.01)) == []
+        violations = check_run(base, dataclasses.replace(run, wall_s=limit + 0.01))
+        assert len(violations) == 1
+        assert "wall-clock regressed" in violations[0]
 
     def test_suites_selector(self):
         assert tuple(suites("all")) == ("fig", "perfect", "batch")

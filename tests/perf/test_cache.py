@@ -6,6 +6,7 @@ import pytest
 
 from repro.codegen import FuseStore
 from repro.ir.parser import parse_loop
+from repro.options import EvalOptions
 from repro.perf import CompileCache, compiled_fingerprint, loop_key
 from repro.pipeline import compile_loop, evaluate_corpus, evaluate_loop
 from repro.sched import paper_machine
@@ -78,8 +79,8 @@ class TestScheduleMemo:
         cache = CompileCache()
         machine = paper_machine(4, 1)
         compiled = cache.compile(CARRIED)
-        cold = evaluate_loop(compiled, machine, n=100, cache=cache)
-        warm = evaluate_loop(compiled, machine, n=100, cache=cache)
+        cold = evaluate_loop(compiled, machine, n=100, options=EvalOptions(cache=cache))
+        warm = evaluate_loop(compiled, machine, n=100, options=EvalOptions(cache=cache))
         assert warm.schedule_list is cold.schedule_list
         assert warm.schedule_new is cold.schedule_new
         assert (warm.t_list, warm.t_new) == (cold.t_list, cold.t_new)
@@ -88,8 +89,8 @@ class TestScheduleMemo:
     def test_machines_do_not_collide(self):
         cache = CompileCache()
         compiled = cache.compile(CARRIED)
-        two = evaluate_loop(compiled, paper_machine(2, 1), n=100, cache=cache)
-        four = evaluate_loop(compiled, paper_machine(4, 1), n=100, cache=cache)
+        two = evaluate_loop(compiled, paper_machine(2, 1), n=100, options=EvalOptions(cache=cache))
+        four = evaluate_loop(compiled, paper_machine(4, 1), n=100, options=EvalOptions(cache=cache))
         assert cache.stats.schedule_hits == 0
         assert two.t_list != four.t_list
 
@@ -101,15 +102,15 @@ class TestScheduleMemo:
         foreign = compile_loop(CARRIED)
         assert compiled_fingerprint(cached) == compiled_fingerprint(foreign)
         machine = paper_machine(4, 1)
-        evaluate_loop(cached, machine, n=100, cache=cache)
-        warm = evaluate_loop(foreign, machine, n=100, cache=cache)
+        evaluate_loop(cached, machine, n=100, options=EvalOptions(cache=cache))
+        warm = evaluate_loop(foreign, machine, n=100, options=EvalOptions(cache=cache))
         assert cache.stats.schedule_hits == 1
         assert warm.schedule_list.cycle_of
 
     def test_matches_uncached_results(self):
         cache = CompileCache()
         machine = paper_machine(2, 2)
-        cached = evaluate_loop(cache.compile(CARRIED), machine, n=100, cache=cache)
+        cached = evaluate_loop(cache.compile(CARRIED), machine, n=100, options=EvalOptions(cache=cache))
         plain = evaluate_loop(compile_loop(CARRIED), machine, n=100)
         assert (cached.t_list, cached.t_new) == (plain.t_list, plain.t_new)
         assert cached.schedule_list.cycle_of == plain.schedule_list.cycle_of
@@ -121,7 +122,7 @@ class TestCorpusDriver:
         cache = CompileCache()
         loops = [parse_loop(CARRIED), parse_loop(DOALL)]
         results = [
-            evaluate_corpus("demo", loops, paper_machine(*case), n=50, cache=cache)
+            evaluate_corpus("demo", loops, paper_machine(*case), n=50, options=EvalOptions(cache=cache))
             for case in ((2, 1), (2, 2), (4, 1), (4, 2))
         ]
         assert cache.stats.compile_misses == len(loops)
@@ -136,7 +137,7 @@ class TestCorpusDriver:
         loops = [parse_loop(CARRIED)]
         fused = evaluate_corpus("demo", loops, paper_machine(4, 1), n=50)
         unfused = evaluate_corpus(
-            "demo", loops, paper_machine(4, 1), n=50, fuse=FuseStore.NEVER
+            "demo", loops, paper_machine(4, 1), n=50, options=EvalOptions(fuse=FuseStore.NEVER)
         )
         # FuseStore.NEVER keeps the final-op/store split, so the lowered
         # stream is strictly longer than the paper's fused default.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.options import EvalOptions
 from repro.perf import ParallelEvaluator, chunked
 from repro.pipeline import evaluate_corpus, evaluate_program
 from repro.sched import paper_machine
@@ -70,7 +71,7 @@ class TestCorpusFanOut:
 
     def test_kwargs_forwarded(self, corpus_jobs):
         exact = ParallelEvaluator(max_workers=1).evaluate_corpora(
-            corpus_jobs[:1], n=100, exact_simulation=True
+            corpus_jobs[:1], n=100, options=EvalOptions(exact_simulation=True)
         )
         fast = ParallelEvaluator(max_workers=1).evaluate_corpora(corpus_jobs[:1], n=100)
         assert times(exact) == times(fast)

@@ -1,18 +1,11 @@
-"""PersistentPool lifecycle, chunk affinity, and min-work calibration."""
+"""Min-work calibration: the break-even math and which source decides."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.options import EvalOptions
-from repro.perf import (
-    CompileCache,
-    ParallelEvaluator,
-    PersistentPool,
-    calibrate_min_pool_work,
-)
-from repro.perf.parallel import DEFAULT_MIN_POOL_WORK, _chunk_affinity
-from repro.pipeline import evaluate_corpus
+from repro.perf import ParallelEvaluator, calibrate_min_pool_work
+from repro.perf.parallel import DEFAULT_MIN_POOL_WORK
 from repro.sched import paper_machine
 from repro.workloads import perfect_suite
 
@@ -25,10 +18,6 @@ def corpus_jobs():
         for name in ("FLQ52", "QCD")
         for case in ((2, 1), (4, 1))
     ]
-
-
-def times(results):
-    return [(ev.name, ev.machine.name, ev.t_list, ev.t_new) for ev in results]
 
 
 class TestCalibrateMath:
@@ -47,99 +36,6 @@ class TestCalibrateMath:
         assert calibrate_min_pool_work(0.0) == 1_000_000
 
 
-class TestChunkAffinity:
-    def test_stable_across_calls(self):
-        machine = paper_machine(2, 1)
-        chunk = [("FLQ52", [], machine), ("QCD", [], machine)]
-        assert _chunk_affinity(chunk) == _chunk_affinity(list(chunk))
-
-    def test_distinguishes_chunks(self):
-        a = [("FLQ52", [], paper_machine(2, 1))]
-        b = [("FLQ52", [], paper_machine(4, 2))]
-        c = [("QCD", [], paper_machine(2, 1))]
-        assert len({_chunk_affinity(x) for x in (a, b, c)}) == 3
-
-    def test_ignores_loop_payload(self):
-        # affinity keys on (name, machine): the loops' object identity
-        # must not matter, or a re-parsed sweep would never route home
-        machine = paper_machine(2, 1)
-        suite = perfect_suite()
-        assert _chunk_affinity([("FLQ52", suite["FLQ52"], machine)]) == (
-            _chunk_affinity([("FLQ52", [], machine)])
-        )
-
-
-class TestPersistentPoolLifecycle:
-    def test_lazy_spawn_and_retire(self):
-        pool = PersistentPool(max_workers=2)
-        assert not pool.alive
-        assert pool.generation == 0
-        lanes = pool.lanes()
-        assert pool.alive
-        assert len(lanes) == 2
-        assert pool.generation == 1
-        assert pool.lanes() is lanes  # idempotent while alive
-        pool.close()
-        assert not pool.alive
-
-    def test_invalidate_respawns_a_new_generation(self):
-        with PersistentPool(max_workers=1) as pool:
-            pool.lanes()
-            pool.invalidate()
-            assert not pool.alive
-            pool.lanes()
-            assert pool.generation == 2
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            PersistentPool(max_workers=0)
-
-    def test_evaluator_inherits_pool_width(self):
-        with PersistentPool(max_workers=3) as pool:
-            assert ParallelEvaluator(pool=pool).max_workers == 3
-
-
-class TestCrossSweepReuse:
-    def test_second_sweep_hits_warm_worker_caches(self, corpus_jobs):
-        serial = [
-            evaluate_corpus(name, loops, machine, n=100)
-            for name, loops, machine in corpus_jobs
-        ]
-        with PersistentPool(max_workers=2) as pool:
-            evaluator = ParallelEvaluator(min_pool_work=0, pool=pool)
-            first = evaluator.evaluate_corpora(corpus_jobs, n=100)
-            assert evaluator.used_pool
-            assert pool.sweeps_served == 1
-            assert times(first) == times(serial)
-
-            second = evaluator.evaluate_corpora(corpus_jobs, n=100)
-            assert pool.sweeps_served == 2
-            assert pool.generation == 1  # same workers, not a respawn
-            assert times(second) == times(serial)
-            # lane affinity routed each repeated chunk back to the
-            # worker that compiled it: its memos answer this sweep
-            assert evaluator.worker_cache_stats.schedule_hits > 0
-
-    def test_warm_cache_file_seeds_the_workers(self, corpus_jobs, tmp_path):
-        cache = CompileCache()
-        for _name, loops, _machine in corpus_jobs:
-            for loop in loops:
-                cache.compile(loop)
-        path = tmp_path / "warm.cache"
-        cache.save(path)
-        with PersistentPool(max_workers=2, warm_cache_file=path) as pool:
-            evaluator = ParallelEvaluator(min_pool_work=0, pool=pool)
-            results = evaluator.evaluate_corpora(corpus_jobs, n=100)
-            assert times(results) == times(
-                [
-                    evaluate_corpus(name, loops, machine, n=100)
-                    for name, loops, machine in corpus_jobs
-                ]
-            )
-            # very first sweep: compiles answered from the disk envelope
-            assert evaluator.worker_cache_stats.compile_hits > 0
-
-
 class TestCalibrationPriority:
     def test_constructor_wins(self, corpus_jobs):
         evaluator = ParallelEvaluator(max_workers=1, min_pool_work=5)
@@ -150,14 +46,6 @@ class TestCalibrationPriority:
             "per_eval_s": None,
             "probe_s": None,
         }
-
-    def test_options_beat_the_probe(self, corpus_jobs):
-        evaluator = ParallelEvaluator(max_workers=1)
-        evaluator.evaluate_corpora(
-            corpus_jobs[:1], n=100, options=EvalOptions(min_pool_work=7)
-        )
-        assert evaluator.calibration["source"] == "options"
-        assert evaluator.calibration["min_pool_work"] == 7
 
     def test_auto_mode_probes_one_real_eval(self, corpus_jobs):
         # the probe only runs when the pool is a candidate: several

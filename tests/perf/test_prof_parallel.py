@@ -12,7 +12,8 @@ from __future__ import annotations
 from repro.obs.prof import Profile, active_sampler, start_sampler, stop_sampler
 from repro.options import EvalOptions
 from repro.perf import ParallelEvaluator
-from repro.perf.parallel import _COLLECT_NONE, _run_corpus_chunk
+from repro.perf.parallel import _COLLECT_NONE, _run_chunk
+from repro.pipeline import evaluate_corpus
 from repro.sched import paper_machine
 from repro.workloads import perfect_suite
 
@@ -32,15 +33,15 @@ def _times(results):
 
 class TestChunkPlumbing:
     def test_collect_none_ships_no_profile(self):
-        *_rest, samples, cache_info = _run_corpus_chunk(
-            _jobs()[:1], 50, EvalOptions(), _COLLECT_NONE
+        results, registry, events, samples = _run_chunk(
+            evaluate_corpus, _jobs()[:1], 50, EvalOptions(), _COLLECT_NONE
         )
-        assert samples is None
-        assert cache_info
+        assert results
+        assert registry is None and events is None and samples is None
 
     def test_sample_hz_arms_a_worker_sampler(self):
-        results, _prof, _reg, _events, samples, _cache = _run_corpus_chunk(
-            _jobs()[:1], 50, EvalOptions(), (False, False, False, 500.0)
+        results, _registry, _events, samples = _run_chunk(
+            evaluate_corpus, _jobs()[:1], 50, EvalOptions(), (False, False, 500.0)
         )
         assert results
         assert isinstance(samples, Profile)

@@ -93,9 +93,12 @@ class TestSemantics:
 
     @pytest.mark.parametrize("factor", [2, 5])
     def test_parallel_semantics_after_unrolling(self, factor):
+        from repro.options import EvalOptions
         from repro.pipeline import compile_loop, evaluate_loop
         from repro.sched import paper_machine
 
         loop = parse_loop("DO I = 1, 100\n A(I) = A(I-2) + X(I)\nENDDO")
         compiled = compile_loop(unroll_loop(loop, factor))
-        evaluate_loop(compiled, paper_machine(4, 1), check_semantics=True)
+        evaluate_loop(
+            compiled, paper_machine(4, 1), options=EvalOptions(check_semantics=True)
+        )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.deps import LoopClass
+from repro.options import EvalOptions
 from repro.pipeline import compile_loop, evaluate_loop
 from repro.sched import paper_machine
 from repro.sim import MemoryImage, run_serial
@@ -55,7 +56,9 @@ class TestPipeline:
     @pytest.mark.parametrize("kernel", doacross_kernels(), ids=lambda k: k.name)
     def test_parallel_semantics(self, kernel):
         compiled = compile_loop(kernel.loop())
-        evaluate_loop(compiled, paper_machine(2, 1), check_semantics=True)
+        evaluate_loop(
+            compiled, paper_machine(2, 1), options=EvalOptions(check_semantics=True)
+        )
 
     def test_scalar_recurrence_kernel_synchronized(self):
         """k19's recurrence runs through a memory-resident scalar."""
