@@ -11,7 +11,10 @@ submissions fired, the server-side p99 must agree with the client-side
 p99, and ``GET /v1/trace/<request_id>`` must return a full span tree
 for a request the harness just made.  This harness drives that bar and
 records throughput, shared-cache hit rate, and p50/p95/p99 latency into
-the ``service`` block of ``BENCH_perf.json`` (``make bench-service``).
+the ``service`` block of ``BENCH_perf.json`` (``make bench-service``),
+next to the server's own p50/p99 and the client-minus-server gap at
+both (reported, not gated: the gap is socket and wire time the server
+never times).
 
 By default it boots an in-process :class:`~repro.service.server.
 ReproService` on an ephemeral port with a scratch ledger; point
@@ -679,7 +682,10 @@ def loadtest_op(
         .get("counters", {})
         .get("service.request.count", 0)
     )
+    server_p50_s = telemetry.get("latency", {}).get("p50", 0.0)
     server_p99_s = telemetry.get("latency", {}).get("p99", 0.0)
+    client_p50_s = percentile(latencies, 0.50)
+    client_p99_s = percentile(latencies, 0.99)
     # Flight-recorder depth check: one probe with a loop the run has NOT
     # warmed (late loadtest requests are all memo hits and legitimately
     # carry no pipeline spans), fetched after the telemetry snapshot so
@@ -696,9 +702,9 @@ def loadtest_op(
             "concurrency": concurrency,
             "wall_s": round(wall, 4),
             "throughput_rps": round(requests / wall, 2) if wall else 0.0,
-            "latency_p50_ms": round(percentile(latencies, 0.50) * 1e3, 3),
+            "latency_p50_ms": round(client_p50_s * 1e3, 3),
             "latency_p95_ms": round(percentile(latencies, 0.95) * 1e3, 3),
-            "latency_p99_ms": round(percentile(latencies, 0.99) * 1e3, 3),
+            "latency_p99_ms": round(client_p99_s * 1e3, 3),
             "errors": len(errors),
             "quarantines": quarantines,
             "coalesced_peak": coalesced_peak,
@@ -706,7 +712,12 @@ def loadtest_op(
             "cache_hits": cache_hits,
             "eval_memo_hits": memo_hits,
             "server_request_count": server_count,
+            "server_latency_p50_ms": round(server_p50_s * 1e3, 3),
             "server_latency_p99_ms": round(server_p99_s * 1e3, 3),
+            # Client minus server: what the server's own timing never sees
+            # (socket read/flush, accept queue, the wire).  Report only.
+            "gap_p50_ms": round((client_p50_s - server_p50_s) * 1e3, 3),
+            "gap_p99_ms": round((client_p99_s - server_p99_s) * 1e3, 3),
             "trace_spans": len(trace_spans),
             "cache": cache,
             "batch": batch,
@@ -733,8 +744,14 @@ def loadtest_op(
     )
     print(
         f"server telemetry: {server_count} workload request(s), "
+        f"p50 {block['server_latency_p50_ms']}ms "
         f"p99 {block['server_latency_p99_ms']}ms, "
         f"trace depth {len(trace_spans)} span(s)",
+        file=buffer_out,
+    )
+    print(
+        f"client-minus-server gap p50={block['gap_p50_ms']}ms "
+        f"p99={block['gap_p99_ms']}ms",
         file=buffer_out,
     )
     print(f"wrote service block to {out}", file=buffer_err)
@@ -755,7 +772,6 @@ def loadtest_op(
             f"server counted {server_count} workload request(s) for "
             f"{requests} submission(s)"
         )
-    client_p99_s = percentile(latencies, 0.99)
     # Bucket interpolation vs exact client samples (which also include
     # the network round-trip and accept-queue wait the server never
     # times) can never agree exactly; require the two p99s to be the

@@ -1663,8 +1663,9 @@ def _cfg_serve(sub, ledger_flag) -> None:
         type=float,
         default=0.02,
         metavar="SECONDS",
-        help="how long the batcher waits to coalesce concurrent submissions "
-        "into one grid (default: 0.02)",
+        help="how long the batcher lingers, after draining what already "
+        "queued, to coalesce more submissions into one grid; 0 dispatches "
+        "an idle batcher at once (default: 0.02)",
     )
     p.add_argument(
         "--access-log",

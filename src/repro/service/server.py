@@ -23,12 +23,18 @@ Requests and responses are schema-v8 stamped JSON
 request is assigned a 12-hex ``request_id``, echoed in the response
 body, the ``X-Request-Id`` header, the run-ledger argv and the optional
 ``--access-log`` JSONL line (see :mod:`repro.service.telemetry`).  The
-economics of the service are in the **coalescer**: concurrent
-submissions that arrive within ``coalesce_window`` seconds and share
+economics of the service are in the **coalescer**: the batcher takes a
+submission, drains every submission already queued (what arrived while
+the last grid ran), then lingers ``coalesce_window`` seconds (default
+20 ms) for more; those sharing
 ``(n, EvalOptions.stable_hash())`` are merged into a single
 :meth:`~repro.perf.batch.BatchEvaluator.evaluate_corpora` grid, so the
 flat closed-form pass and the process-wide
-:class:`~repro.perf.cache.CompileCache` amortize across clients.  All
+:class:`~repro.perf.cache.CompileCache` amortize across clients.
+With ``coalesce_window=0`` the batcher is a pure group commit: an idle
+batcher dispatches at once and coalescing comes from load alone.
+Responses go out with ``TCP_NODELAY`` set, so a body never waits on
+the client's delayed ACK behind its headers.  All
 evaluation runs on the single batcher thread — handler threads only
 parse, enqueue, and wait — which keeps the engine's memos free of
 locks.  Per-request pipeline tracing therefore happens *on the batcher
@@ -410,13 +416,14 @@ class _Batcher(threading.Thread):
                 continue
             batch = [submission]
             stop_after = False  # the coalesce loop may eat stop()'s sentinel
+            # Take everything already queued without blocking (what
+            # arrived while the last grid ran), then linger for the
+            # window.  With a 0 window an idle batcher dispatches at once.
             deadline = time.monotonic() + self.window
             while True:
                 remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
                 try:
-                    extra = self.queue.get(timeout=remaining)
+                    extra = self.queue.get(timeout=max(remaining, 0.0))
                 except queue.Empty:
                     break
                 if extra is None:
@@ -637,7 +644,11 @@ class ReproService:
         self.started_at = time.time()
         self.requests: dict[str, int] = {}
         self._sequence = 0
-        self._lock = threading.Lock()  # ledger + counters
+        # Guards the request counters only.  Ledger appends stay off it:
+        # RunLedger.append serializes on its own process-wide lock, so
+        # count() and the health/metrics snapshots never wait behind a
+        # file open/append/close.
+        self._lock = threading.Lock()
         self._op_lock = threading.Lock()  # generic ops mutate global state
         self._closing = threading.Event()
         self._busy = 0
@@ -768,8 +779,7 @@ class ReproService:
             failures=tuple(f.as_dict() for f in failures),
             metrics=None,
         )
-        with self._lock:
-            self.ledger.append(record)
+        self.ledger.append(record)
         return record
 
     def _on_breaker_transition(self, old: int, new: int, reason: str) -> None:
@@ -801,8 +811,7 @@ class ReproService:
             error=reason if new != BREAKER_CLOSED else None,
             metrics=None,
         )
-        with self._lock:
-            self.ledger.append(record)
+        self.ledger.append(record)
 
     def recover_inflight(self) -> list[RunRecord]:
         """Finalize in-flight work a previous process never finished.
@@ -826,8 +835,7 @@ class ReproService:
                     "request exited before it finished"
                 ),
             )
-            with self._lock:
-                self.ledger.append(final)
+            self.ledger.append(final)
             lost.append(final)
         return lost
 
@@ -1070,6 +1078,9 @@ class _Server(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = f"repro-service/v{SCHEMA_VERSION}"
+    # TCP_NODELAY on every accepted socket: headers and body are separate
+    # sends, and with Nagle on the body waits for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     # Per-request trace state, reset by _telemetry_begin for every request
     # this (keep-alive) handler serves.

@@ -9,6 +9,8 @@ cache hits, a complete ledger, and merge its ``service`` block into
 
 import json
 
+import pytest
+
 from repro.schema import SCHEMA_VERSION
 from repro.service.loadtest import LOOP_SOURCES, MACHINE_CASES, loadtest_op
 
@@ -28,6 +30,14 @@ class TestLoadtestOp:
         assert block["latency_p99_ms"] >= block["latency_p50_ms"] > 0
         assert block["throughput_rps"] > 0
         assert "24 submissions x 4 clients" in result.stdout
+        # the client-minus-server gap is reported (never gated on)
+        for percentile in ("p50", "p99"):
+            assert block[f"gap_{percentile}_ms"] == pytest.approx(
+                block[f"latency_{percentile}_ms"]
+                - block[f"server_latency_{percentile}_ms"],
+                abs=0.002,
+            )
+        assert "client-minus-server gap p50=" in result.stdout
 
     def test_merge_preserves_foreign_bench_keys(self, tmp_path):
         out = tmp_path / "BENCH_perf.json"

@@ -8,6 +8,7 @@ the same path ``make serve-smoke`` and ``repro loadtest`` exercise
 
 import json
 import multiprocessing
+import socket
 import threading
 import time
 from http.client import HTTPConnection
@@ -101,10 +102,16 @@ class TestEvaluate:
             worker.join()
 
         assert all(status == 200 for status, _ in results)
-        # identical apart from request_id, which is per-request by design
+        # identical apart from request_id and coalesced, which are
+        # per-request by design: concurrent requests may legitimately
+        # split across grids (say 1 + 7)
         bodies = [
             json.dumps(
-                {k: v for k, v in body.items() if k != "request_id"},
+                {
+                    k: v
+                    for k, v in body.items()
+                    if k not in ("request_id", "coalesced")
+                },
                 sort_keys=True,
             )
             for _, body in results
@@ -136,6 +143,94 @@ class TestEvaluate:
         assert lines[-1]["kind"] == "result"
         assert lines[-1]["evaluation"]["t_list"] > 0
         assert all(r["kind"] == "progress" for r in lines[:-1])
+
+
+@pytest.fixture
+def idle_service(tmp_path):
+    with ReproService(
+        port=0, ledger=str(tmp_path / "ledger.jsonl"), coalesce_window=0.0
+    ) as running:
+        yield running
+
+
+class TestGroupCommit:
+    """With a 0 coalescing window the batcher dispatches at once when
+    idle and coalesces exactly what queued while a grid ran — coalescing
+    comes from load, not a timer (docs/service.md)."""
+
+    def test_submissions_queued_behind_a_grid_share_the_next_one(
+        self, idle_service, monkeypatch
+    ):
+        engine = idle_service.engine
+        evaluate_corpora = engine.evaluate_corpora
+        entered, release = threading.Event(), threading.Event()
+
+        def held(*args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                release.wait(60)
+            return evaluate_corpora(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "evaluate_corpora", held)
+        queued = 5
+        results = [None] * (queued + 1)
+
+        def submit(index):
+            results[index] = _request(
+                idle_service, "POST", "/v1/evaluate", _evaluate_body(f"gc-{index}")
+            )
+
+        first = threading.Thread(target=submit, args=(0,))
+        first.start()
+        assert entered.wait(60), "the first grid never started"
+        workers = [
+            threading.Thread(target=submit, args=(index,))
+            for index in range(1, queued + 1)
+        ]
+        for worker in workers:
+            worker.start()
+        # the bound is a hang guard, not a timing assertion
+        hang_guard = time.monotonic() + 60
+        while idle_service.batcher.queue.qsize() != queued:
+            assert time.monotonic() < hang_guard, "submissions never queued"
+            time.sleep(0.005)
+        release.set()
+        for worker in [first, *workers]:
+            worker.join()
+
+        assert all(status == 200 for status, _ in results)
+        assert results[0][1]["coalesced"] == 1
+        assert [body["coalesced"] for _, body in results[1:]] == [queued] * queued
+
+    def test_lone_submission_on_an_idle_server_runs_alone(self, idle_service):
+        status, body = _request(
+            idle_service, "POST", "/v1/evaluate", _evaluate_body("lone")
+        )
+        assert status == 200
+        assert body["coalesced"] == 1
+
+
+class TestTransport:
+    def test_accepted_sockets_have_nagle_off(self, service):
+        """Headers and body are separate sends; TCP_NODELAY keeps the body
+        from waiting on the client's delayed ACK."""
+        connection = HTTPConnection(service.host, service.port, timeout=60)
+        try:
+            connection.request("GET", "/v1/healthz")
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+            # the keep-alive connection is still open: its handler is
+            # parked on the next request line, its socket registered
+            with service._conn_lock:
+                sockets = list(service._connections)
+            assert sockets
+            for sock in sockets:
+                assert (
+                    sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+                )
+        finally:
+            connection.close()
 
 
 class TestSweep:
