@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint check bench bench-batch bench-check bench-perf bench-service fuzz-smoke serve-smoke chaos-smoke prof-smoke sweep dash
+.PHONY: test lint check bench bench-batch bench-check bench-cold bench-perf bench-service fuzz-smoke serve-smoke chaos-smoke prof-smoke sweep dash
 
 BENCH_BASELINE ?= benchmarks/baselines/bench_history.jsonl
 
@@ -100,6 +100,17 @@ bench-batch:
 # and refresh benchmarks/results/perf_layer.txt + BENCH_perf.json.
 bench-perf:
 	$(PYTHON) -m pytest benchmarks/test_bench_perf.py --perf -q -s
+
+# Per-layer split of the cold Table-2 sweep (docs/performance.md, "Cold
+# path"): one traced table2_cold run of the repo benchmark; keeps each
+# layer's self time per op (the `*.busy_s` lines, seconds) in
+# benchmarks/results/cold_path_layers.txt.  Timed — non-gating.
+COLD_RUN := .perfbench_out/cold_path_run.txt
+bench-cold:
+	@mkdir -p .perfbench_out
+	$(PYTHON) perfbench/run.py --workload table2_cold --seed 1 --seconds 36 --trace 1 > $(COLD_RUN)
+	grep '\.busy_s = ' $(COLD_RUN) > benchmarks/results/cold_path_layers.txt
+	cat benchmarks/results/cold_path_layers.txt
 
 # Load-test the long-lived service (docs/service.md): ≥1000 concurrent
 # loop submissions against one in-process server; records throughput,

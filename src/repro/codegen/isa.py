@@ -35,6 +35,10 @@ Operand = Union[str, int, float]
 class FuClass(enum.Enum):
     """Architectural function-unit class of an operation."""
 
+    # Identity hash, computed in C: members are dict keys on every
+    # scheduling step, and Enum's default ``hash(self._name_)`` is Python.
+    __hash__ = object.__hash__
+
     LOAD_STORE = "load/store"
     INT_ALU = "integer"
     FP_ALU = "float"
@@ -46,6 +50,8 @@ class FuClass(enum.Enum):
 
 class Opcode(enum.Enum):
     """DLX-style operation repertoire (see module docs for the mapping)."""
+
+    __hash__ = object.__hash__  # see FuClass
 
     IADD = "iadd"
     ISUB = "isub"

@@ -116,6 +116,38 @@ class DependenceGraph:
     def carried_into(self, stmt_pos: int) -> list[Dependence]:
         return [d for d in self.loop_carried() if d.sink == stmt_pos]
 
+    def rebound(self, loop: Loop) -> "DependenceGraph | None":
+        """This graph re-anchored on ``loop``, or ``None`` if ``loop`` might
+        have other dependences.
+
+        The dependences carry only body positions and reference objects, so
+        they hold unchanged for a loop with the same index, bounds and step
+        whose every body position has the same statement, or an assignment
+        with the very same target, expression and guard objects — what
+        statement relabelling produces.
+        """
+        old = self.loop
+        if (
+            loop.index != old.index
+            or loop.lower != old.lower
+            or loop.upper != old.upper
+            or loop.step != old.step
+            or len(loop.body) != len(old.body)
+        ):
+            return None
+        for new_stmt, old_stmt in zip(loop.body, old.body):
+            if new_stmt is old_stmt:
+                continue
+            if not (
+                isinstance(new_stmt, Assign)
+                and isinstance(old_stmt, Assign)
+                and new_stmt.target is old_stmt.target
+                and new_stmt.expr is old_stmt.expr
+                and new_stmt.guard is old_stmt.guard
+            ):
+                return None
+        return DependenceGraph(loop=loop, deps=list(self.deps))
+
     def __iter__(self) -> Iterator[Dependence]:
         return iter(self.deps)
 

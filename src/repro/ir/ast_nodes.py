@@ -121,14 +121,17 @@ def clone_expr(expr: Expr) -> Expr:
 
 def walk_expr(expr: Expr) -> Iterator[Expr]:
     """Yield ``expr`` and every sub-expression, depth-first, pre-order."""
-    yield expr
-    if isinstance(expr, BinOp):
-        yield from walk_expr(expr.left)
-        yield from walk_expr(expr.right)
-    elif isinstance(expr, UnaryOp):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, ArrayRef):
-        yield from walk_expr(expr.subscript)
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, BinOp):
+            stack.append(node.right)  # popped after the whole left subtree
+            stack.append(node.left)
+        elif isinstance(node, UnaryOp):
+            stack.append(node.operand)
+        elif isinstance(node, ArrayRef):
+            stack.append(node.subscript)
 
 
 def array_refs(expr: Expr) -> Iterator[ArrayRef]:

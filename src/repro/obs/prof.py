@@ -238,6 +238,18 @@ def folded_lines(profile: Profile) -> list[str]:
     ]
 
 
+def _achieved_hz(profile: Profile) -> str:
+    """The rate the sampler actually reached, ``samples / duration_s``.
+
+    It can fall far below the requested ``hz``: the sampler thread needs
+    the interpreter lock, so on a CPU-bound run it wakes at the lock's
+    switch interval at best.
+    """
+    if profile.duration_s <= 0:
+        return "n/a"
+    return f"{profile.samples / profile.duration_s:.0f}/s"
+
+
 def profile_top_table(profile: Profile, limit: int = 15) -> str:
     """A terminal table of the hottest frames by self samples."""
     stats = sorted(
@@ -250,7 +262,7 @@ def profile_top_table(profile: Profile, limit: int = 15) -> str:
         + (f" suite={profile.suite}" if profile.suite else "")
         + (f" label={profile.label}" if profile.label else ""),
         f"  {profile.samples} sample(s) over {profile.duration_s:.2f}s"
-        f" at {profile.hz:g} hz",
+        f" at {profile.hz:g} hz requested, {_achieved_hz(profile)} achieved",
         f"  {'self':>6} {'self%':>7} {'total%':>7}  frame",
     ]
     for stat in stats:
@@ -664,7 +676,7 @@ def flamegraph_svg(
     )
     sub = (
         f"{profile.samples} sample(s) · {profile.duration_s:.2f}s"
-        f" · {profile.hz:g} hz"
+        f" · {profile.hz:g} hz requested · {_achieved_hz(profile)} achieved"
     )
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}"'

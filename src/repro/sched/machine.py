@@ -22,7 +22,7 @@ which is what the paper's Fig. 4 bundles exhibit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.codegen.isa import FuClass
 
@@ -56,26 +56,33 @@ class MachineConfig:
     def __post_init__(self) -> None:
         if self.issue_width < 1:
             raise ValueError("issue width must be >= 1")
-        served: dict[FuClass, str] = {}
+        served: dict[FuClass, UnitSpec] = {}
         for unit in self.units:
             for cls in unit.classes:
                 if cls in served:
                     raise ValueError(
-                        f"{cls} served by both {served[cls]!r} and {unit.name!r}"
+                        f"{cls} served by both {served[cls].name!r} and {unit.name!r}"
                     )
-                served[cls] = unit.name
+                served[cls] = unit
         missing = [cls for cls in FuClass if cls not in served]
         if missing:
             raise ValueError(f"function unit classes not served: {missing}")
+        # Derived lookup table (FuClass -> UnitSpec): not a field, so
+        # equality, hash, repr and pickle see only the three fields.
+        object.__setattr__(self, "_unit_of", served)
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def unit_for(self, fu: FuClass) -> UnitSpec:
-        for unit in self.units:
-            if fu in unit.classes:
-                return unit
-        raise KeyError(fu)  # pragma: no cover - __post_init__ guarantees
+        return self._unit_of[fu]
 
     def latency(self, fu: FuClass) -> int:
-        return self.unit_for(fu).latency
+        return self._unit_of[fu].latency
 
 
 def figure4_machine() -> MachineConfig:

@@ -54,8 +54,8 @@ def marker_schedule(
     pending_preds = {n: graph.in_degree(n) for n in graph.nodes}
     cycle_of = schedule.cycle_of
 
-    wait_descendants: dict[int, set[int]] = {
-        iid: graph.descendants(iid) for iid in wait_sinks
+    wait_descendants: dict[int, int] = {  # bitmasks (DataFlowGraph.bit)
+        iid: graph.descendant_mask(iid) for iid in wait_sinks
     }
 
     def wait_ready(iid: int, cycle: int) -> bool:
@@ -68,7 +68,7 @@ def marker_schedule(
                     # sibling waits on the same sink must not deadlock each
                     # other; the single sync port serializes them anyway
                     continue
-                if edge.src in wait_descendants[iid]:
+                if wait_descendants[iid] & graph.bit(edge.src):
                     # the predecessor itself needs this wait first (a sink
                     # store whose value chain starts at the wait) — holding
                     # the wait for it would deadlock

@@ -82,7 +82,13 @@ class _SyncScheduler:
         self.resources = ResourceTable(machine)
         self.cycle_of: dict[int, int] = {}
         self.topo = graph.topological_order()
-        self.topo_pos = {iid: i for i, iid in enumerate(self.topo)}
+        # Reachability is asked as graph bitmasks; ``_placed`` is the mask
+        # of ``cycle_of``'s keys, kept in step by place()/unplace().
+        self._bit = {iid: graph.bit(iid) for iid in self.topo}
+        self._placed = 0
+        self._latency = {
+            instr.iid: machine.latency(instr.fu) for instr in lowered.instructions
+        }
         self._inflight_sends: set[int] = set()
         self._sp_pair_ids: set[int] = set()  # filled by run()
         # Decision provenance (repro.obs.explain).  Buffered per-iid so the
@@ -147,7 +153,7 @@ class _SyncScheduler:
     # -- primitives -----------------------------------------------------------
 
     def latency(self, iid: int) -> int:
-        return self.machine.latency(self.lowered.instruction(iid).fu)
+        return self._latency[iid]
 
     def ready_cycle(self, iid: int) -> int:
         """Earliest legal issue cycle given scheduled predecessors.
@@ -155,17 +161,21 @@ class _SyncScheduler:
         All predecessors must already be scheduled (phases guarantee it).
         """
         cycle = 1
+        cycle_of, latency = self.cycle_of, self._latency
         for edge in self.graph.pred[iid]:
-            pred_cycle = self.cycle_of[edge.src]
-            cycle = max(cycle, pred_cycle + self.latency(edge.src))
+            candidate = cycle_of[edge.src] + latency[edge.src]
+            if candidate > cycle:
+                cycle = candidate
         return cycle
 
     def place(self, iid: int, cycle: int) -> None:
         self.resources.place(self.lowered.instruction(iid).fu, cycle)
         self.cycle_of[iid] = cycle
+        self._placed |= self._bit[iid]
 
     def unplace(self, iid: int) -> None:
         cycle = self.cycle_of.pop(iid)
+        self._placed &= ~self._bit[iid]
         self.resources.remove(self.lowered.instruction(iid).fu, cycle)
         self._decisions.pop(iid, None)
 
@@ -181,12 +191,14 @@ class _SyncScheduler:
         return cycle
 
     def unscheduled_ancestors(self, nodes: list[int]) -> list[int]:
-        closure: set[int] = set()
+        """Unscheduled ancestors of ``nodes`` outside ``nodes``, in
+        topological order."""
+        ancestor_mask, bit = self.graph.ancestor_mask, self._bit
+        closure = own = 0
         for node in nodes:
-            closure |= self.graph.ancestors(node)
-        closure -= set(nodes)
-        closure -= self.cycle_of.keys()
-        return sorted(closure, key=self.topo_pos.__getitem__)
+            closure |= ancestor_mask(node)
+            own |= bit[node]
+        return self.graph.nodes_of(closure & ~(own | self._placed))
 
     def place_with_ancestors(self, iid: int, min_cycle: int = 1) -> int:
         for anc in self.unscheduled_ancestors([iid]):
@@ -242,7 +254,7 @@ class _SyncScheduler:
                     if (
                         send_iid in self.cycle_of
                         or send_iid in self._inflight_sends
-                        or iid in self.graph.ancestors(send_iid)
+                        or self.graph.ancestor_mask(send_iid) & self._bit[iid]
                     ):
                         continue
                     self._inflight_sends.add(send_iid)
@@ -332,32 +344,40 @@ class _SyncScheduler:
         the whole statement, the very store the send follows.  Packing
         tighter than the chain is impossible for *any* start cycle.
         """
-        between = (self.graph.descendants(a) & self.graph.ancestors(b)) | {a, b}
+        graph, bit = self.graph, self._bit
+        between = (graph.descendant_mask(a) & graph.ancestor_mask(b)) | bit[a] | bit[b]
         dist = {a: 0}
-        for node in self.topo:
-            if node not in between or node not in dist:
+        for node in graph.nodes_of(between):  # topological order
+            if node not in dist:
                 continue
-            for edge in self.graph.succ[node]:
-                if edge.dst in between:
-                    candidate = dist[node] + self.latency(node)
-                    if candidate > dist.get(edge.dst, -1):
-                        dist[edge.dst] = candidate
+            candidate = dist[node] + self._latency[node]
+            for edge in graph.succ[node]:
+                if between & bit[edge.dst] and candidate > dist.get(edge.dst, -1):
+                    dist[edge.dst] = candidate
         return dist.get(b, self.latency(a))
 
-    def sp_targets(self, nodes: tuple[int, ...], start: int) -> list[int]:
-        targets = []
-        cycle = start
-        for i, node in enumerate(nodes):
-            targets.append(cycle)
-            if i + 1 < len(nodes):
-                cycle += self.min_spacing(node, nodes[i + 1])
-        return targets
+    def sp_offsets(self, nodes: list[int]) -> list[int]:
+        """Each path node's cycle offset from the path's start when packed
+        at :meth:`min_spacing`; independent of the start cycle."""
+        offsets = [0]
+        for a, b in zip(nodes, nodes[1:]):
+            offsets.append(offsets[-1] + self.min_spacing(a, b))
+        return offsets
 
-    def try_place_path(self, nodes: list[int], start: int, pair_id: int | None = None) -> bool:
-        """Transactionally place ``nodes`` contiguously from ``start``, then
-        their ancestors backward (ALAP before their consumers, the way the
-        paper's Fig. 4(b) tucks ``t5 <- I + 1`` into cycle 1); roll back on
-        any failure.
+    def try_place_path(
+        self,
+        nodes: list[int],
+        start: int,
+        offsets: list[int],
+        ancestors: list[int],
+        pair_id: int | None = None,
+    ) -> bool:
+        """Transactionally place ``nodes`` at ``start + offsets``, then
+        ``ancestors`` (their unscheduled ancestors, topologically ordered)
+        backward — ALAP before their consumers, the way the paper's
+        Fig. 4(b) tucks ``t5 <- I + 1`` into cycle 1; roll back on any
+        failure.  Both lists are the same for every retried ``start``: a
+        failed try restores the state it started from.
 
         ALAP rather than ASAP matters: an ancestor placed greedily early
         can occupy the slot a tighter-deadline ancestor chain needs (the
@@ -372,15 +392,13 @@ class _SyncScheduler:
                 self.unplace(iid)
             return False
 
-        targets = self.sp_targets(tuple(nodes), start)
-        for iid, target in zip(nodes, targets):
+        for iid, offset in zip(nodes, offsets):
             fu = self.lowered.instruction(iid).fu
-            if not self.resources.can_place(fu, target):
+            if not self.resources.can_place(fu, start + offset):
                 return rollback()
-            self.place(iid, target)
+            self.place(iid, start + offset)
             placed.append(iid)
 
-        ancestors = self.unscheduled_ancestors(nodes)
         for anc in reversed(ancestors):  # reverse topological: consumers first
             instr = self.lowered.instruction(anc)
             latency = self.latency(anc)
@@ -458,8 +476,10 @@ class _SyncScheduler:
             + (len(self.graph) + 2) * max(u.latency for u in self.machine.units)
             + 8
         )
+        offsets = self.sp_offsets(nodes)
+        ancestors = self.unscheduled_ancestors(nodes)
         for start in range(1, horizon + 1):
-            if self.try_place_path(nodes, start, pair_id=path.pair_id):
+            if self.try_place_path(nodes, start, offsets, ancestors, pair_id=path.pair_id):
                 metric_count("sched_pass.sync.sp_start_retries", start - 1)
                 return
         # Dependence-minimal spacing can still be resource-infeasible (the
@@ -513,9 +533,10 @@ class _SyncScheduler:
         # ``(n/d)·span``.  Scheduling those sends' cones first costs a few
         # cycles of iteration length and removes the whole stall chain.
         sp_nodes = {node for path in paths for node in path.nodes}
-        sp_ancestors: set[int] = set()
+        sp_mask = self.graph.mask_of(sp_nodes)
+        sp_ancestors = 0
         for node in sp_nodes:
-            sp_ancestors |= self.graph.ancestors(node)
+            sp_ancestors |= self.graph.ancestor_mask(node)
         sp_pair_ids = {path.pair_id for path in paths}
         if self.options.waits_after_sends:
             self._phase = "lfd_conversion"
@@ -524,9 +545,9 @@ class _SyncScheduler:
                     continue
                 wait_iid = self.lowered.wait_iids[pair.pair_id]
                 send_iid = self.lowered.send_iids[pair.pair_id]
-                if wait_iid in sp_ancestors and send_iid not in sp_nodes:
-                    cone = set(self.unscheduled_ancestors([send_iid]))
-                    if cone & sp_nodes:
+                if sp_ancestors & self._bit[wait_iid] and send_iid not in sp_nodes:
+                    cone = self.graph.ancestor_mask(send_iid) & ~self._placed
+                    if cone & sp_mask:
                         continue  # cannot hoist the send without the SP
                     with self._ruled("lfd_send_hoist", pair_id=pair.pair_id):
                         for anc in self.unscheduled_ancestors([send_iid]):

@@ -89,10 +89,11 @@ def verify_schedule_structured(
         return violations
 
     # 2. dependence latencies
+    unit_of = {i.iid: machine.unit_for(i.fu) for i in lowered.instructions}
     for edge in graph.edges:
         src_cycle = cycle_of[edge.src]
         dst_cycle = cycle_of[edge.dst]
-        latency = machine.latency(lowered.instruction(edge.src).fu)
+        latency = unit_of[edge.src].latency
         if dst_cycle < src_cycle + latency:
             violations.append(
                 Violation(
@@ -107,9 +108,10 @@ def verify_schedule_structured(
     # 3. resources
     issue_count: dict[int, int] = defaultdict(int)
     unit_count: dict[tuple[str, int], int] = defaultdict(int)
+    unit_named = {unit.name: unit for unit in reversed(machine.units)}  # first wins
     for iid, cycle in cycle_of.items():
         issue_count[cycle] += 1
-        unit = machine.unit_for(lowered.instruction(iid).fu)
+        unit = unit_of[iid]
         busy = 1 if unit.pipelined else unit.latency
         for c in range(cycle, cycle + busy):
             unit_count[(unit.name, c)] += 1
@@ -123,7 +125,7 @@ def verify_schedule_structured(
                 )
             )
     for (unit_name, cycle), used in sorted(unit_count.items()):
-        unit = next(u for u in machine.units if u.name == unit_name)
+        unit = unit_named[unit_name]
         if used > unit.count:
             violations.append(
                 Violation(
@@ -138,7 +140,7 @@ def verify_schedule_structured(
         sig = lowered.send_iids[pair.pair_id]
         wat = lowered.wait_iids[pair.pair_id]
         for src in lowered.source_iids(pair.pair_id):
-            src_done = cycle_of[src] + machine.latency(lowered.instruction(src).fu) - 1
+            src_done = cycle_of[src] + unit_of[src].latency - 1
             if cycle_of[sig] <= src_done:
                 violations.append(
                     Violation(

@@ -134,8 +134,10 @@ def insert_synchronization(
         raise ValueError("loop already contains synchronization statements")
     _assert_unique_reference_objects(loop)
     loop = _ensure_labels(loop)
-    if graph is None or graph.loop is not loop:
-        graph = analyze_loop(loop)
+    # Labelling keeps every position and reference object, so a graph of
+    # the unlabelled loop carries over.
+    rebound = graph.rebound(loop) if graph is not None else None
+    graph = analyze_loop(loop) if rebound is None else rebound
     carried = graph.loop_carried()
     if any(d.irregular for d in carried):
         raise ValueError("cannot synchronize irregular (non-constant-distance) dependences")

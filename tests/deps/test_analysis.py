@@ -139,3 +139,39 @@ class TestGraphQueries:
     def test_len_and_iter(self):
         graph = deps_of("DO I = 1, 10\n A(I) = A(I-1)\nENDDO")
         assert len(graph) == len(list(graph))
+
+
+class TestRebound:
+    """``DependenceGraph.rebound``: reuse only when no dependence can change."""
+
+    SOURCE = """
+        DO I = 1, 100
+          B(I) = A(I-2) + E(I+1)
+          A(I) = B(I) + C(I+3)
+        ENDDO
+    """
+
+    def test_relabelled_loop_reuses_the_dependences(self):
+        from repro.sync.insertion import _ensure_labels
+
+        loop = parse_loop(self.SOURCE)
+        graph = analyze_loop(loop)
+        labelled = _ensure_labels(loop)
+        rebound = graph.rebound(labelled)
+        assert rebound is not None and rebound.loop is labelled
+        assert rebound.deps == graph.deps
+        assert all(a is b for a, b in zip(rebound.deps, graph.deps))
+
+    def test_new_reference_objects_force_reanalysis(self):
+        graph = analyze_loop(parse_loop(self.SOURCE))
+        assert graph.rebound(parse_loop(self.SOURCE)) is None  # equal, not same
+
+    def test_changed_bounds_or_body_length_force_reanalysis(self):
+        from repro.ir.ast_nodes import Const, Loop
+
+        loop = parse_loop(self.SOURCE)
+        graph = analyze_loop(loop)
+        shorter = Loop(loop.index, loop.lower, Const(1), loop.body)
+        assert graph.rebound(shorter) is None
+        truncated = Loop(loop.index, loop.lower, loop.upper, loop.body[:1])
+        assert graph.rebound(truncated) is None

@@ -97,6 +97,17 @@ class TestFrameStats:
         assert "90.0%" in table
         assert "parse" in table
 
+    def test_top_table_prints_requested_and_achieved_rate(self):
+        # 134 samples in 2 s against 499 hz asked: the GIL-paced sampler.
+        table = profile_top_table(
+            make_profile({"a:f": 134}, hz=499.0, duration_s=2.0)
+        )
+        assert "at 499 hz requested, 67/s achieved" in table
+
+    def test_achieved_rate_of_an_empty_interval(self):
+        table = profile_top_table(make_profile({"a:f": 1}, duration_s=0.0))
+        assert "n/a achieved" in table
+
 
 class TestDiff:
     def test_names_top_regressed_frame(self):
@@ -141,6 +152,10 @@ class TestFlameGraph:
         svg = flamegraph_svg(make_profile({'m:<evil>&"f': 5}))
         assert "<evil>" not in svg
         assert "&lt;evil&gt;" in svg
+
+    def test_subtitle_prints_requested_and_achieved_rate(self):
+        svg = flamegraph_svg(make_profile({"a:f": 155}, hz=997.0, duration_s=1.0))
+        assert "997 hz requested · 155/s achieved" in svg
 
     def test_title_override(self):
         svg = flamegraph_svg(make_profile({"a:f": 1}), title="custom heading")
